@@ -4,11 +4,9 @@ from .data import (
     FeatureStats,
     MultiViewDataset,
     SplitPlan,
-    StackedViews,
     SynthSpec,
     default_synth_spec,
     load_views,
-    pad_stack,
     preprocess,
     save_views,
     split,
@@ -43,12 +41,9 @@ from .evaluate import (
     report_to_dict,
 )
 from .grad import (
-    GradientSet,
     finite_diff_check,
-    full_gradient,
     grad_wrt_F,
     grad_wrt_P,
-    grad_wrt_P_stacked,
     random_instance,
 )
 from .loss import (
@@ -56,7 +51,6 @@ from .loss import (
     HyperParams,
     ProjectionSet,
     RecoverySet,
-    cosine_sim,
     embeddings,
     feature_level_loss,
     recovery_level_loss,

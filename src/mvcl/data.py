@@ -1,4 +1,4 @@
-"""Multi-view datasets: loading, preprocessing, splitting, padding, synthesis.
+"""Multi-view datasets: loading, preprocessing, splitting, synthesis.
 
 Internally every view is stored as a features x samples matrix (D_m x n);
 CSV files on disk use the transposed samples x features layout.
@@ -88,47 +88,6 @@ class MultiViewDataset:
         views = [v[:, idx] for v in self.views]
         labels = None if self.labels is None else self.labels[idx]
         return MultiViewDataset(tuple(views), labels)
-
-
-@dataclass(frozen=True)
-class StackedViews:
-    """Each view embedded in a common sum(D_m)-row space, zero elsewhere."""
-
-    padded: tuple[np.ndarray, ...]
-    block_offsets: tuple[int, ...]
-
-    @property
-    def V(self) -> int:
-        return len(self.padded)
-
-    @property
-    def D(self) -> int:
-        return self.padded[0].shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.padded[0].shape[1]
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        ends = self.block_offsets[1:] + (self.D,)
-        return tuple(e - s for s, e in zip(self.block_offsets, ends))
-
-    def block_rows(self, m: int) -> slice:
-        return slice(self.block_offsets[m], self.block_offsets[m] + self.block_dims[m])
-
-
-def pad_stack(ds: MultiViewDataset) -> StackedViews:
-    """Build the zero-padded per-view copies sharing one stacked row space."""
-    dims = ds.dims
-    D = sum(dims)
-    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)[:-1]]))
-    padded = []
-    for m, v in enumerate(ds.views):
-        p = np.zeros((D, ds.n))
-        p[offsets[m] : offsets[m] + dims[m], :] = v
-        padded.append(_frozen(p))
-    return StackedViews(tuple(padded), offsets)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,10 @@ def _worker_count(n_tasks: int) -> int:
     raw = os.environ.get("MVCL_THREADS", "").strip()
     if not raw:
         return 1
-    workers = int(raw)
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"MVCL_THREADS must be an integer, got {raw!r}") from None
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_tasks))

@@ -1,136 +1,30 @@
 """Analytic gradients of the triple-head objective, plus their referee.
 
 The gradients here are exact derivatives of the loss definitions in
-:mod:`mvcl.loss` (softmax cross-entropy over temperature-scaled cosines),
-hand-derived via the chain rule and certified against central finite
-differences. Every head reduces to one pattern: a coefficient matrix
-C = dL/dS on the similarity logits, pushed back through the cosine into
-the two column families that produced it.
+:mod:`mvcl.loss`, hand-derived via the chain rule and certified against
+central finite differences. Every head is one call pattern of the kernel
+:func:`mvcl.loss.contrast`, which returns the loss and its gradient with
+respect to both column families from the same pass; this module only
+chains those through the embeddings Y^m = P_m^T X^m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import MultiViewDataset, StackedViews
+from .data import MultiViewDataset
 from .errors import DimError, NumericError
-from .loss import (
+from .loss import (  # noqa: F401  (cosine_logits stays importable from here)
     HyperParams,
-    exp_silent,
     ProjectionSet,
     RecoverySet,
-    NORM_FLOOR,
     cosine_logits,
     _check_projections,
     _check_recovery,
+    _feature_head,
+    _recovery_head,
+    _sample_head,
 )
-
-
-@dataclass(frozen=True)
-class GradientSet:
-    """Gradient blocks mirroring the parameter shapes."""
-
-    dP: tuple[np.ndarray, ...]
-    dF: tuple[np.ndarray, ...]
-
-
-def _cosine_backward(C, S, A, B, na, nb, sigma, want_dA=True, want_dB=True):
-    """Backpropagate dL/dS = C through S = cosine_logits(A, B, sigma).
-
-    na/nb are the floored column norms returned by cosine_logits. Columns
-    sitting at the floor get no norm-direction term (the floor is constant
-    there), matching the loss's subgradient convention.
-    """
-    Ct = C / (np.outer(na, nb) * sigma)
-    dA = dB = None
-    if want_dA:
-        rs = (C * S).sum(axis=1)
-        dA = B @ Ct.T
-        dA -= A * np.where(na > NORM_FLOOR, rs / (na * na), 0.0)[None, :]
-    if want_dB:
-        cs = (C * S).sum(axis=0)
-        dB = A @ Ct
-        dB -= B * np.where(nb > NORM_FLOOR, cs / (nb * nb), 0.0)[None, :]
-    return dA, dB
-
-
-def _sample_head_dY(Y: list[np.ndarray], sigma: float) -> list[np.ndarray]:
-    """d(sample-level loss)/dY for every view's embedding matrix."""
-    V = len(Y)
-    n = Y[0].shape[1]
-    dY = [np.zeros_like(y) for y in Y]
-    idx = np.arange(n)
-    for a in range(V):
-        cache = {}
-        num = np.zeros(n)
-        den = np.zeros(n)
-        for v in range(V):
-            if v == a:
-                continue
-            S, na, nv = cosine_logits(Y[a], Y[v], sigma)
-            E = exp_silent(S)
-            cache[v] = (S, E, na, nv)
-            num += E[idx, idx]
-            den += E.sum(axis=1)
-        for v, (S, E, na, nv) in cache.items():
-            C = E / den[:, None]
-            C[idx, idx] -= E[idx, idx] / num
-            C /= n
-            dA, dB = _cosine_backward(C, S, Y[a], Y[v], na, nv, sigma)
-            dY[a] += dA
-            dY[v] += dB
-    return dY
-
-
-def _feature_head_dY(
-    Y: list[np.ndarray], sigma: float, include_self_view: bool
-) -> list[np.ndarray]:
-    """d(feature-level loss)/dY; rows of Y are the contrasted vectors."""
-    V = len(Y)
-    d = Y[0].shape[0]
-    rowsT = [y.T for y in Y]  # columns of rowsT[m] are the feature rows
-    dT = [np.zeros_like(a) for a in rowsT]
-    idx = np.arange(d)
-    for m in range(V):
-        for v in range(V):
-            if v == m and not include_self_view:
-                continue
-            S, nm, nv = cosine_logits(rowsT[m], rowsT[v], sigma)
-            E = exp_silent(S)
-            C = E / E.sum(axis=1)[:, None]
-            C[idx, idx] -= 1.0
-            C /= d
-            dA, dB = _cosine_backward(C, S, rowsT[m], rowsT[v], nm, nv, sigma)
-            dT[m] += dA
-            dT[v] += dB
-    return [a.T for a in dT]
-
-
-def _recovery_head_grads(
-    X: list[np.ndarray], Y: list[np.ndarray], Fmats, sigma: float
-):
-    """d(recovery-level loss)/dY and /dF. X holds the ambient anchor views."""
-    V = len(Y)
-    n = Y[0].shape[1]
-    dY = [np.zeros_like(y) for y in Y]
-    dF = [np.zeros_like(f) for f in Fmats]
-    idx = np.arange(n)
-    for m in range(V):
-        for v in range(V):
-            if v == m:
-                continue
-            Z = Fmats[m].T @ Y[v]
-            S, nx, nz = cosine_logits(X[m], Z, sigma)
-            E = exp_silent(S)
-            C = E / E.sum(axis=1)[:, None]
-            C[idx, idx] -= 1.0
-            C /= n
-            _, dZ = _cosine_backward(C, S, X[m], Z, nx, nz, sigma, want_dA=False)
-            dF[m] += Y[v] @ dZ.T
-            dY[v] += Fmats[m] @ dZ
-    return dY, dF
 
 
 def _weighted_dY(
@@ -140,14 +34,15 @@ def _weighted_dY(
     hp: HyperParams,
 ) -> list[np.ndarray]:
     """Total-objective gradient w.r.t. the embeddings, all heads combined."""
-    dY = _sample_head_dY(Y, hp.sigma1)
+    _, dY = _sample_head(Y, hp.sigma1, grad=True)
     if hp.alpha != 0.0:
-        for acc, g in zip(dY, _feature_head_dY(Y, hp.sigma3, hp.fea_include_self_view)):
-            acc += hp.alpha * g
+        _, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad=True)
+        for acc, gm in zip(dY, g):
+            acc += hp.alpha * gm
     if hp.beta != 0.0:
-        rec_dY, _ = _recovery_head_grads(X, Y, Fmats, hp.sigma2)
-        for acc, g in zip(dY, rec_dY):
-            acc += hp.beta * g
+        _, g, _ = _recovery_head(X, Y, Fmats, hp.sigma2, grad=True)
+        for acc, gm in zip(dY, g):
+            acc += hp.beta * gm
     return dY
 
 
@@ -162,7 +57,7 @@ def grad_wrt_P(
     _check_projections(P, ds)
     _check_recovery(F, P.d, ds)
     Y = [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
-    dY = _weighted_dY(list(ds.views), Y, F.mats, hp)
+    dY = _weighted_dY(ds.views, Y, F.mats, hp)
     return tuple(ds.views[m] @ dY[m].T for m in range(ds.V))
 
 
@@ -175,38 +70,8 @@ def grad_wrt_F(
     if hp.beta == 0.0:
         return tuple(np.zeros_like(f) for f in F.mats)
     Y = [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
-    _, dF = _recovery_head_grads(list(ds.views), Y, F.mats, hp.sigma2)
+    _, _, dF = _recovery_head(ds.views, Y, F.mats, hp.sigma2, grad=True)
     return tuple(hp.beta * g for g in dF)
-
-
-def full_gradient(
-    P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
-) -> GradientSet:
-    return GradientSet(grad_wrt_P(P, F, ds, hp), grad_wrt_F(P, F, ds, hp))
-
-
-def grad_wrt_P_stacked(
-    Pstack: np.ndarray, F: RecoverySet, stacked: StackedViews, hp: HyperParams
-) -> np.ndarray:
-    """Gradient of the total loss in the stacked parameterisation.
-
-    P is the row-concatenation of the per-view projections and every view is
-    zero-padded into the common row space, so Pstack^T @ padded[m] equals the
-    per-view embedding. Row block m of the result matches grad_wrt_P's dP_m.
-    """
-    Pstack = np.asarray(Pstack, dtype=float)
-    if Pstack.ndim != 2 or Pstack.shape[0] != stacked.D:
-        raise DimError(f"stacked parameter has shape {Pstack.shape}, expected ({stacked.D}, d)")
-    X = [stacked.padded[m][stacked.block_rows(m)] for m in range(stacked.V)]
-    for m, f in enumerate(F.mats):
-        if f.shape != (Pstack.shape[1], X[m].shape[0]):
-            raise DimError(f"recovery {m} has shape {f.shape}, expected ({Pstack.shape[1]}, {X[m].shape[0]})")
-    Y = [Pstack.T @ p for p in stacked.padded]
-    dY = _weighted_dY(X, Y, F.mats, hp)
-    dP = np.zeros_like(Pstack)
-    for m in range(stacked.V):
-        dP += stacked.padded[m] @ dY[m].T
-    return dP
 
 
 def finite_diff_check(

@@ -12,14 +12,18 @@ similarities:
   recovery level  anchors are original samples, candidates are cross-view
                   embeddings mapped back to the anchor view's ambient space.
 
-Every expectation is an arithmetic mean over the anchor index and a plain
-sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
-float64 with a fixed left-to-right ordering for reproducibility.
+All three run through one kernel, :func:`contrast`; the heads differ only
+in which columns they pass as anchors and as candidates, and the kernel
+returns the gradient from the same pass. Every expectation is an arithmetic
+mean over the anchor index and a plain sum over view pairs, so loss
+magnitudes do not grow with n. Accumulation is float64 with a fixed
+left-to-right ordering for reproducibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,44 +153,177 @@ def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
 
 
 def floored_col_norms(A: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.norm(A, axis=0), NORM_FLOOR)
+    # np.linalg.norm(A, axis=0) computes exactly this, behind several
+    # microseconds of argument handling.
+    return np.maximum(np.sqrt(np.add.reduce(A * A, axis=0)), NORM_FLOOR)
 
 
-def exp_silent(S: np.ndarray) -> np.ndarray:
-    """exp that is allowed to overflow to inf; callers test finiteness."""
-    with np.errstate(over="ignore"):
-        return np.exp(S)
+# Every logit lies in [-1/sigma, 1/sigma], so up to this inverse temperature
+# exp(S) and its row sums stay finite and nonzero. Only above it is the
+# softmax shifted by the row maximum: the shift costs two passes over the
+# logits and ties every logit's rounding to its row maximum.
+SHIFT_ABOVE = 600.0
 
 
 def cosine_logits(A: np.ndarray, B: np.ndarray, sigma: float):
     """All-pairs temperature-scaled cosine between columns of A and of B.
 
-    Returns (S, na, nb) where S[i, j] = (a_i . b_j) / (na_i * nb_j * sigma)
-    and na, nb are the floored column norms.
+    Returns (S, Ah, Bh, na, nb): na, nb are the floored column norms,
+    Ah = A / na and Bh = B / nb the normalised columns, and
+    S[i, j] = (a_i . b_j) / (na_i * nb_j * sigma).
     """
     na = floored_col_norms(A)
     nb = floored_col_norms(B)
-    S = (A.T @ B) / (np.outer(na, nb) * sigma)
-    return S, na, nb
+    Ah = A / na
+    Bh = B / nb
+    return Ah.T @ (Bh / sigma), Ah, Bh, na, nb
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray, sigma: float) -> float:
-    """Cosine of two vectors divided by the temperature, in [-1/sigma, 1/sigma]."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise DimError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    nu = max(float(np.linalg.norm(u)), NORM_FLOOR)
-    nv = max(float(np.linalg.norm(v)), NORM_FLOOR)
-    return float(u @ v / (nu * nv * sigma))
+@lru_cache(maxsize=64)
+def _positive_index(n: int, k: int) -> np.ndarray:
+    """Flat indices into an n x (k*n) matrix of entries (i, b*n + i)."""
+    idx = np.arange(n)[:, None] * (k * n + 1) + np.arange(0, k * n, n)
+    idx.setflags(write=False)
+    return idx
+
+
+def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -> np.ndarray:
+    """Pull a gradient G w.r.t. the unit columns Xh = X / nx back onto X.
+
+    Removes each column's component along Xh, except for columns at the norm
+    floor (the floor is constant there), then multiplies each column by
+    scale / nx. In place.
+    """
+    radial = (Xh * G).sum(axis=0)
+    radial *= nx > NORM_FLOOR
+    G -= Xh * radial
+    G *= scale / nx
+    return G
+
+
+def contrast(
+    A: np.ndarray,
+    B: np.ndarray,
+    sigma: float,
+    k: int = 1,
+    grad: bool = False,
+    anchor_grad: bool = True,
+):
+    """Softmax cross-entropy over temperature-scaled cosines, the kernel of every head.
+
+    The anchors are the n columns of A; the candidates are the k*n columns of
+    B, read as k side-by-side blocks of n, and the positives of anchor i are
+    column i of every block. With S = cosine_logits(A, B, sigma) the loss is
+    the mean over i of
+
+        log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
+
+    Returns (loss, dA, dB). The gradients are None without ``grad``, and dA
+    is None when ``anchor_grad`` is False, which skips its GEMM. Only one
+    n x kn matrix is alive at a time.
+    """
+    S, Ah, Bh, na, nb = cosine_logits(A, B, sigma)
+    n = S.shape[0]
+    pidx = _positive_index(n, k)
+    pos = S.take(pidx)
+    if 1.0 / sigma > SHIFT_ABOVE:
+        top = S.max(axis=1, keepdims=True)
+        S -= top
+        pos -= top
+        E = np.exp(S, out=S)
+        # exp of a positive far below its row maximum underflows: stay in logs.
+        lpos = np.logaddexp.reduce(pos, axis=1)
+    else:
+        E = np.exp(S, out=S)
+        # From E itself, so that a row whose only entry is its positive gives
+        # exactly 0.
+        lpos = np.log(E.take(pidx).sum(axis=1))
+    rs = E.sum(axis=1)
+    loss = float(np.log(rs).sum() - lpos.sum()) / n
+    if not grad:
+        return loss, None, None
+
+    # dL/dS = (softmax over the row - softmax over the row's positives) / n;
+    # the 1/n and the 1/sigma of the logits are applied to the small factors.
+    E /= rs[:, None]
+    E.ravel()[pidx] -= np.exp(pos - lpos[:, None])
+    scale = 1.0 / (n * sigma)
+    dA = _through_norm(Bh @ E.T, Ah, na, scale) if anchor_grad else None
+    dB = _through_norm(Ah @ E, Bh, nb, scale)
+    return loss, dA, dB
 
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
     """Per-view subspace embeddings P_m^T X^m (d x n each)."""
     _check_projections(P, ds)
     return [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
+
+
+def _sample_head(Y: list[np.ndarray], sigma: float, grad: bool = False):
+    """Sample-level loss of the embeddings Y, and d/dY with ``grad`` (else None).
+
+    Anchor view a contrasts its samples against the other views placed side
+    by side: sample i in every other view is a positive, all other samples
+    there are negatives, and same-view pairs never enter.
+    """
+    V, n = len(Y), Y[0].shape[1]
+    total = 0.0
+    dY = [np.zeros_like(y) for y in Y] if grad else None
+    for a in range(V):
+        rest = [v for v in range(V) if v != a]
+        B = Y[rest[0]] if V == 2 else np.hstack([Y[v] for v in rest])
+        loss, dA, dB = contrast(Y[a], B, sigma, k=V - 1, grad=grad)
+        total += loss
+        if grad:
+            dY[a] += dA
+            for b, v in enumerate(rest):
+                dY[v] += dB[:, b * n : (b + 1) * n]
+    return total, dY
+
+
+def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, grad: bool = False):
+    """Feature-level loss of the embeddings Y, and d/dY with ``grad`` (else None).
+
+    The contrasted vectors are the rows of Y: row k of view m against all d
+    rows of view v, with the same row index as the positive.
+    """
+    V = len(Y)
+    total = 0.0
+    dY = [np.zeros_like(y) for y in Y] if grad else None
+    for m in range(V):
+        for v in range(V):
+            if v == m and not include_self_view:
+                continue
+            loss, dA, dB = contrast(Y[m].T, Y[v].T, sigma, grad=grad)
+            total += loss
+            if grad:
+                dY[m] += dA.T
+                dY[v] += dB.T
+    return total, dY
+
+
+def _recovery_head(X, Y: list[np.ndarray], Fmats, sigma: float, grad: bool = False):
+    """Recovery-level loss, and d/dY and d/dF with ``grad`` (else None).
+
+    Anchor x_i^m is contrasted against Z = F_m^T Y^v, the embeddings of view
+    v mapped back into view m's ambient space. X is fixed data, so no
+    gradient is taken with respect to it.
+    """
+    V = len(Y)
+    total = 0.0
+    dY = [np.zeros_like(y) for y in Y] if grad else None
+    dF = [np.zeros_like(f) for f in Fmats] if grad else None
+    for m in range(V):
+        for v in range(V):
+            if v == m:
+                continue
+            Z = Fmats[m].T @ Y[v]
+            loss, _, dZ = contrast(X[m], Z, sigma, grad=grad, anchor_grad=False)
+            total += loss
+            if grad:
+                dF[m] += Y[v] @ dZ.T
+                dY[v] += Fmats[m] @ dZ
+    return total, dY, dF
 
 
 def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> float:
@@ -199,22 +336,7 @@ def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> 
     """
     if sigma1 <= 0:
         raise ValueError("sigma1 must be > 0")
-    Y = embeddings(P, ds)
-    n = ds.n
-    total = 0.0
-    for a in range(ds.V):
-        num = np.zeros(n)
-        den = np.zeros(n)
-        for v in range(ds.V):
-            if v == a:
-                continue
-            S, _, _ = cosine_logits(Y[a], Y[v], sigma1)
-            E = exp_silent(S)
-            num += np.diagonal(E)
-            den += E.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total += float(np.mean(np.log(den) - np.log(num)))
-    return total
+    return _sample_head(embeddings(P, ds), sigma1)[0]
 
 
 def feature_level_loss(
@@ -231,18 +353,7 @@ def feature_level_loss(
     """
     if sigma3 <= 0:
         raise ValueError("sigma3 must be > 0")
-    Y = embeddings(P, ds)
-    d = P.d
-    total = 0.0
-    for m in range(ds.V):
-        for v in range(ds.V):
-            if v == m and not include_self_view:
-                continue
-            S, _, _ = cosine_logits(Y[m].T, Y[v].T, sigma3)
-            E = exp_silent(S)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total += float(np.mean(np.log(E.sum(axis=1)) - np.log(np.diagonal(E))))
-    return total
+    return _feature_head(embeddings(P, ds), sigma3, include_self_view)[0]
 
 
 def recovery_level_loss(
@@ -259,18 +370,7 @@ def recovery_level_loss(
         raise ValueError("sigma2 must be > 0")
     _check_projections(P, ds)
     _check_recovery(F, P.d, ds)
-    Y = embeddings(P, ds)
-    total = 0.0
-    for m in range(ds.V):
-        for v in range(ds.V):
-            if v == m:
-                continue
-            Z = F.mats[m].T @ Y[v]
-            S, _, _ = cosine_logits(ds.views[m], Z, sigma2)
-            E = exp_silent(S)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total += float(np.mean(np.log(E.sum(axis=1)) - np.log(np.diagonal(E))))
-    return total
+    return _recovery_head(ds.views, embeddings(P, ds), F.mats, sigma2)[0]
 
 
 def total_loss(

@@ -110,6 +110,7 @@ def init_params(
     return ProjectionSet(tuple(pmats)), RecoverySet(tuple(fmats))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     ds: MultiViewDataset, cfg: TrainConfig, preprocessing: dict | None = None
 ) -> tuple[ProjectionSet, RecoverySet, TrainReport]:
@@ -117,7 +118,8 @@ def train(
 
     ``preprocessing`` is an optional record of upstream data decisions that
     is echoed verbatim in the report. Deterministic: the same dataset and
-    config reproduce the trajectory and parameters bit for bit.
+    config reproduce the trajectory and parameters bit for bit. Overflow
+    while training surfaces as NumericDivergence, not as numpy warnings.
     """
     t0 = time.perf_counter()
     hp = cfg.hp
@@ -236,12 +238,19 @@ def load_model(path: str | Path):
     """Read a model file back into (P, F, stats, cfg)."""
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema: {obj.get('schema_version')!r}")
-    P = ProjectionSet(tuple(np.array(a, dtype=float) for a in obj["P"]))
-    F = RecoverySet(tuple(np.array(a, dtype=float) for a in obj["F"]))
-    stats = _stats_from_dict(obj["preprocessing"])
-    cfg = config_from_dict(obj["config"])
-    if [a.shape[0] for a in P.mats] != list(obj["dims"]) or P.d != obj["d"]:
+    schema = obj.get("schema_version") if isinstance(obj, dict) else None
+    if schema != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema: {schema!r}")
+    try:
+        P = ProjectionSet(tuple(np.array(a, dtype=float) for a in obj["P"]))
+        F = RecoverySet(tuple(np.array(a, dtype=float) for a in obj["F"]))
+        stats = _stats_from_dict(obj["preprocessing"])
+        cfg = config_from_dict(obj["config"])
+        dims, d = obj["dims"], obj["d"]
+    except KeyError as e:
+        raise ValueError(f"{path}: model file lacks key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"{path}: malformed model file: {e}") from None
+    if [a.shape[0] for a in P.mats] != list(dims) or P.d != d:
         raise DimError("model matrices do not match the recorded dimensions")
     return P, F, stats, cfg

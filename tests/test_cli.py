@@ -120,9 +120,18 @@ def test_train_with_config_file(synth_dir, tmp_path):
     assert report["iterations"] <= 8
 
 
+def test_train_small_temperature_exits_0(synth_dir, tmp_path):
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    model = tmp_path / "m.json"
+    assert run_cli("train", "--views", views, "--d", "2", "--sigma", "0.001",
+                   "--max-iters", "5", "--out", str(model)) == 0
+    report = json.loads(model.with_suffix(".report.json").read_text())
+    assert all(np.isfinite(report["losses"]))
+
+
 def test_train_divergence_exits_4(synth_dir, tmp_path):
     views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
-    assert run_cli("train", "--views", views, "--d", "2", "--sigma", "1e-5",
+    assert run_cli("train", "--views", views, "--d", "2", "--sigma", "1e-320",
                    "--max-iters", "5", "--out", str(tmp_path / "m.json")) == 4
 
 
@@ -190,6 +199,21 @@ def test_eval_zero_projection_collapses_to_first_label(synth_dir, tmp_path, caps
     assert f"II accuracy={first_class_share:.2f}%" in out
 
 
+@pytest.mark.parametrize("payload,message", [
+    ({"schema_version": 1}, "lacks key 'P'"),
+    ({"schema_version": 1, "P": 5}, "malformed model file"),
+])
+def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
+    model = tmp_path / "partial.json"
+    model.write_text(json.dumps(payload))
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    labels = str(synth_dir / "labels.csv")
+    assert run_cli("eval", "--model", str(model), "--views", views, "--labels", labels,
+                   "--train-views", views, "--train-labels", labels) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
@@ -245,6 +269,14 @@ def test_benchmark_with_ablation(synth_dir, tmp_path):
     assert "ablation" in payload
     ab_hp = payload["ablation"]["config"]["train"]["hp"]
     assert ab_hp["alpha"] == 0.0 and ab_hp["beta"] == 0.0
+
+
+def test_benchmark_bad_thread_count_names_the_variable(synth_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MVCL_THREADS", "abc")
+    assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4", "--repeats", "1",
+                   "--d-sweep", "3", "--max-iters", "2", "--out", str(tmp_path / "r.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MVCL_THREADS" in err and "'abc'" in err
 
 
 def test_benchmark_io_failure_exits_3(synth_dir, tmp_path):

@@ -15,7 +15,6 @@ from mvcl import (
     accuracy_pct,
     knn_classify,
     load_views,
-    pad_stack,
     preprocess,
     save_views,
     split,
@@ -203,50 +202,6 @@ def test_stats_mismatch():
     _, stats = preprocess(other, center=True)
     with pytest.raises(StatsMismatch):
         preprocess(ds, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# pad_stack
-# ---------------------------------------------------------------------------
-
-def test_pad_stack_block_layout():
-    x1 = rng.standard_normal((2, 4))
-    x2 = rng.standard_normal((3, 4))
-    st = pad_stack(MultiViewDataset((x1, x2)))
-    assert st.D == 5 and st.block_offsets == (0, 2)
-    np.testing.assert_array_equal(st.padded[0][:2], x1)
-    np.testing.assert_array_equal(st.padded[0][2:], np.zeros((3, 4)))
-    np.testing.assert_array_equal(st.padded[1][:2], np.zeros((2, 4)))
-    np.testing.assert_array_equal(st.padded[1][2:], x2)
-
-
-def test_pad_stack_column_sparsity():
-    ds = MultiViewDataset(tuple(rng.standard_normal((d, 6)) for d in (3, 4, 2)))
-    st = pad_stack(ds)
-    for m, D in enumerate(ds.dims):
-        assert (st.padded[m] != 0).sum(axis=0).max() <= D
-
-
-def test_stacked_multiply_equals_per_view():
-    """P^T @ padded[m] must equal P_m^T @ X^m bit for bit in a fixed order."""
-    ds = MultiViewDataset(tuple(rng.standard_normal((d, 5)) for d in (3, 2)))
-    st = pad_stack(ds)
-    P = rng.standard_normal((5, 2))
-    blocks = [P[:3], P[3:]]
-    for m in range(2):
-        Dm, n, d = ds.dims[m], ds.n, P.shape[1]
-        off = st.block_offsets[m]
-        for k in range(d):
-            for i in range(n):
-                s_full = 0.0
-                for r in range(st.D):
-                    s_full += P[r, k] * st.padded[m][r, i]
-                s_block = 0.0
-                for r in range(Dm):
-                    s_block += blocks[m][r, k] * ds.views[m][r, i]
-                assert s_full == s_block  # zero padding adds exact zeros
-        np.testing.assert_allclose(P.T @ st.padded[m], blocks[m].T @ ds.views[m],
-                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

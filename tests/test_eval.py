@@ -207,7 +207,7 @@ def test_benchmark_requires_labels():
 
 def test_benchmark_names_failing_repeat():
     ds = _bench_ds()
-    hp = HyperParams(d=3, sigma1=1e-5, sigma2=1e-5, sigma3=1e-5)
+    hp = HyperParams(d=3, sigma1=1e-320, sigma2=1e-320, sigma3=1e-320)
     diverging = TrainConfig(hp=hp, max_iters=10)
     with pytest.raises(BenchmarkError, match="repeat 0"):
         benchmark(ds, diverging, SplitPlan(M=4, repeats=1, seed=0), d_sweep=[3])

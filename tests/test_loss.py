@@ -9,13 +9,13 @@ from mvcl import (
     MultiViewDataset,
     ProjectionSet,
     RecoverySet,
-    cosine_sim,
     feature_level_loss,
     recovery_level_loss,
     sample_level_loss,
     total_loss,
 )
 from mvcl.grad import random_instance
+from mvcl.loss import cosine_logits
 
 SIGMA = 0.1
 
@@ -29,36 +29,35 @@ def as_lists(ds, P, F=None):
 
 
 # ---------------------------------------------------------------------------
-# cosine_sim
+# cosine_logits
 # ---------------------------------------------------------------------------
+
+def _cos(u, v, sigma):
+    return cosine_logits(np.asarray(u, dtype=float)[:, None], np.asarray(v, dtype=float)[:, None], sigma)[0][0, 0]
+
 
 def test_self_similarity_is_inverse_temperature():
     u = np.array([1.0, -2.0, 0.5])
-    assert cosine_sim(u, u, 0.1) == pytest.approx(10.0, abs=1e-12)
+    assert _cos(u, u, 0.1) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_orthogonal_vectors_score_zero():
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.37) == 0.0
+    assert _cos([1.0, 0.0], [0.0, 1.0], 0.37) == 0.0
 
 
 def test_cosine_matches_independent_computation():
     r = np.random.default_rng(77)
-    u = r.standard_normal(5)
-    v = r.standard_normal(5)
-    expected = orc.sim(list(u), list(v), 0.25)
-    assert abs(cosine_sim(u, v, 0.25) - expected) <= 1e-12
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(DimError):
-        cosine_sim(np.ones(3), np.ones(4), 0.1)
-    with pytest.raises(ValueError):
-        cosine_sim(np.ones(3), np.ones(3), 0.0)
+    A = r.standard_normal((5, 3))
+    B = r.standard_normal((5, 4))
+    S = cosine_logits(A, B, 0.25)[0]
+    assert S.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert abs(S[i, j] - orc.sim(list(A[:, i]), list(B[:, j]), 0.25)) <= 1e-12
 
 
 def test_cosine_zero_vector_floored():
-    v = cosine_sim(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.1)
-    assert v == 0.0  # floor keeps the value finite
+    assert _cos(np.zeros(3), [1.0, 0.0, 0.0], 0.1) == 0.0  # floor keeps the value finite
 
 
 # ---------------------------------------------------------------------------

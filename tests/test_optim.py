@@ -9,9 +9,13 @@ from mvcl import (
     DimError,
     HyperParams,
     NumericDivergence,
+    ProjectionSet,
+    RecoverySet,
     SynthSpec,
     TrainConfig,
     adam_step,
+    grad_wrt_F,
+    grad_wrt_P,
     init_params,
     load_model,
     preprocess,
@@ -161,12 +165,50 @@ def test_train_preprocessing_record_is_echoed():
     assert rep.preprocessing == {"center": True, "unit_variance": False}
 
 
+@pytest.mark.parametrize("sigma", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_small_temperatures_stay_finite(sigma):
+    # exp(1/sigma) overflows below sigma ~ 1.4e-3, but the objective is
+    # bounded: the kernel shifts its softmax by the row maximum there.
+    ds = _train_instance()
+    hp = HyperParams(d=2, sigma1=sigma, sigma2=sigma, sigma3=sigma)
+    P, F = init_params(ds.dims, hp.d, 0)
+    assert np.isfinite(total_loss(P, F, ds, hp))
+    P, F, rep = train(ds, TrainConfig(hp=hp, max_iters=5))
+    assert all(np.isfinite(x) for x in rep.losses)
+    for a in P.mats + F.mats:
+        assert np.isfinite(a).all()
+
+
 def test_train_divergence_raises_with_iteration():
     ds = _train_instance()
-    hp = HyperParams(d=2, sigma1=1e-5, sigma2=1e-5, sigma3=1e-5)
+    hp = HyperParams(d=2, sigma1=1e-320, sigma2=1e-320, sigma3=1e-320)
     with pytest.raises(NumericDivergence) as exc:
         train(ds, TrainConfig(hp=hp, max_iters=5))
     assert exc.value.iteration == 0
+
+
+def test_train_stacked_adam_matches_per_view_adam():
+    # train() keeps one Adam state for the row-stacked projections; Adam is
+    # entrywise, so that must equal one state per view, bit for bit.
+    ds = _train_instance(seed=2)
+    hp = HyperParams(d=2)
+    cfg = TrainConfig(hp=hp, max_iters=6, tol=1e-300)
+    P, F, rep = train(ds, cfg)
+    assert rep.iterations == 6
+
+    p0, f0 = init_params(ds.dims, hp.d, cfg.seed)
+    pm, fm = list(p0.mats), list(f0.mats)
+    ps = [AdamState.zeros(a.shape) for a in pm]
+    fs = [AdamState.zeros(a.shape) for a in fm]
+    for _ in range(rep.iterations):
+        dF = grad_wrt_F(ProjectionSet(tuple(pm)), RecoverySet(tuple(fm)), ds, hp)
+        for m in range(ds.V):
+            fs[m], fm[m] = adam_step(fs[m], dF[m], fm[m], cfg.adam)
+        dP = grad_wrt_P(ProjectionSet(tuple(pm)), RecoverySet(tuple(fm)), ds, hp)
+        for m in range(ds.V):
+            ps[m], pm[m] = adam_step(ps[m], dP[m], pm[m], cfg.adam)
+    for a, b in zip(P.mats + F.mats, pm + fm):
+        assert np.array_equal(a, b)
 
 
 def test_train_smoke_500_iters_stays_finite():

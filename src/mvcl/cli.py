@@ -37,7 +37,7 @@ from .evaluate import (
     report_to_dict,
 )
 from .grad import finite_diff_check, grad_wrt_F, grad_wrt_P, random_instance
-from .loss import HyperParams, ProjectionSet, RecoverySet, total_loss
+from .loss import HyperParams, embeddings, total_loss
 from .optim import (
     AdamParams,
     TrainConfig,
@@ -49,6 +49,18 @@ from .optim import (
 
 GRADCHECK_BOUND = 1e-5
 CONFIG_SCHEMA_VERSION = 1
+
+
+def _field_types(cls, *skip: str) -> dict[str, str]:
+    """Field name -> annotation ("int", "float", "bool") of a config dataclass."""
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _json_type_ok(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field; a bool is no number and a float no int."""
+    if annotation == "bool" or isinstance(value, bool):
+        return annotation == "bool" and isinstance(value, bool)
+    return isinstance(value, int) or (annotation == "float" and isinstance(value, float))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,41 +75,44 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
+            raise ValueError("config must be a JSON object declaring schema_version = 1")
         allowed = {"schema_version", "hyper", "adam", "train", "split", "preprocess", "d_sweep"}
         unknown = set(obj) - allowed
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-            raise ValueError("config must declare schema_version = 1")
 
-        def section(name, allowed_keys):
+        def section(name, types):
             sec = obj.get(name, {})
-            extra = set(sec) - set(allowed_keys)
+            if not isinstance(sec, dict):
+                raise ValueError(f"config '{name}' must be an object, got {sec!r}")
+            extra = set(sec) - set(types)
             if extra:
                 raise ValueError(f"unknown keys in '{name}': {sorted(extra)}")
+            for key, value in sec.items():
+                if not _json_type_ok(value, types[key]):
+                    raise ValueError(f"config '{name}.{key}' must be {types[key]}, got {value!r}")
             return sec
 
-        hyper = section(
-            "hyper",
-            {"d", "alpha", "beta", "sigma1", "sigma2", "sigma3", "fea_include_self_view"},
-        )
+        hyper = section("hyper", _field_types(HyperParams))
         if "d" not in hyper:
             raise ValueError("config 'hyper' section must set d")
-        adam = section("adam", {"gamma", "beta1", "beta2", "epsilon"})
-        tr = section("train", {"max_iters", "tol", "seed"})
-        pre = section("preprocess", {"center", "unit_variance"})
+        adam = section("adam", _field_types(AdamParams))
+        tr = section("train", _field_types(TrainConfig, "hp", "adam"))
+        pre = section("preprocess", {"center": "bool", "unit_variance": "bool"})
         cfg = TrainConfig(hp=HyperParams(**hyper), adam=AdamParams(**adam), **tr)
-        plan = None
-        if "split" in obj:
-            sp = section("split", {"M", "repeats", "seed"})
-            plan = SplitPlan(**sp)
+        plan = SplitPlan(**section("split", _field_types(SplitPlan))) if "split" in obj else None
         sweep = obj.get("d_sweep")
+        if sweep is not None and not (
+            isinstance(sweep, list) and all(_json_type_ok(x, "int") for x in sweep)
+        ):
+            raise ValueError(f"config 'd_sweep' must be a list of integers, got {sweep!r}")
         return cls(
             train=cfg,
             split=plan,
-            center=bool(pre.get("center", True)),
-            unit_variance=bool(pre.get("unit_variance", False)),
-            d_sweep=None if sweep is None else tuple(int(x) for x in sweep),
+            center=pre.get("center", True),
+            unit_variance=pre.get("unit_variance", False),
+            d_sweep=None if sweep is None else tuple(sweep),
         )
 
     @classmethod
@@ -170,39 +185,22 @@ def _merged_train_config(args) -> tuple[TrainConfig, bool, bool]:
     """Defaults < config file < explicit flags; returns (cfg, center, unit_variance)."""
     if args.config:
         rc = RunConfig.from_file(args.config)
-        hp, adam = rc.train.hp, rc.train.adam
-        max_iters, tol, seed = rc.train.max_iters, rc.train.tol, rc.train.seed
-        center, unit_variance = rc.center, rc.unit_variance
+        cfg, center, unit_variance = rc.train, rc.center, rc.unit_variance
+    elif args.d is None:
+        raise ValueError("subspace dimension required: pass --d or a config file")
     else:
-        if args.d is None:
-            raise ValueError("subspace dimension required: pass --d or a config file")
-        hp = HyperParams(d=args.d)
-        adam = AdamParams()
-        max_iters, tol, seed = 1000, 1e-3, 0
-        center, unit_variance = True, False
+        cfg, center, unit_variance = TrainConfig(hp=HyperParams(d=args.d)), True, False
 
-    updates = {}
-    if args.d is not None:
-        updates["d"] = args.d
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.beta is not None:
-        updates["beta"] = args.beta
+    hp_flags = {"d": args.d, "alpha": args.alpha, "beta": args.beta}
     if args.sigma is not None:
-        updates.update(sigma1=args.sigma, sigma2=args.sigma, sigma3=args.sigma)
-    if updates:
-        hp = dataclasses.replace(hp, **updates)
-    if args.max_iters is not None:
-        max_iters = args.max_iters
-    if args.tol is not None:
-        tol = args.tol
-    if args.seed is not None:
-        seed = args.seed
+        hp_flags.update(sigma1=args.sigma, sigma2=args.sigma, sigma3=args.sigma)
+    train_flags = {"max_iters": args.max_iters, "tol": args.tol, "seed": args.seed}
+    hp = dataclasses.replace(cfg.hp, **{k: v for k, v in hp_flags.items() if v is not None})
+    cfg = dataclasses.replace(cfg, hp=hp, **{k: v for k, v in train_flags.items() if v is not None})
     if args.center is not None:
         center = args.center
     if args.unit_variance is not None:
         unit_variance = args.unit_variance
-    cfg = TrainConfig(hp=hp, adam=adam, max_iters=max_iters, tol=tol, seed=seed)
     return cfg, center, unit_variance
 
 
@@ -255,13 +253,9 @@ def _cmd_eval(args) -> int:
 
     if args.strategy == "per-view":
         accs = []
-        for m in range(gallery.V):
-            pred = knn_classify(
-                P.mats[m].T @ gallery.views[m], gallery.labels, P.mats[m].T @ query.views[m]
-            )
-            acc = accuracy_pct(pred, query.labels)
-            accs.append(acc)
-            print(f"view{m + 1} accuracy={acc:.2f}%")
+        for m, (g, q) in enumerate(zip(embeddings(P, gallery), embeddings(P, query))):
+            accs.append(accuracy_pct(knn_classify(g, gallery.labels, q), query.labels))
+            print(f"view{m + 1} accuracy={accs[-1]:.2f}%")
         print(f"Mean accuracy={float(np.mean(accs)):.2f}%")
     else:
         pred = knn_classify(fuse(P, gallery), gallery.labels, fuse(P, query))
@@ -286,27 +280,18 @@ def _cmd_gradcheck(args) -> int:
     dF = grad_wrt_F(P, F, ds, hp)
 
     failures = []
-    for m in range(ds.V):
-        def obj_p(mat, m=m):
-            mats = list(P.mats)
-            mats[m] = mat
-            return total_loss(ProjectionSet(tuple(mats)), F, ds, hp)
+    for name, S, grads in (("P", P, dP), ("F", F, dF)):
+        for m in range(ds.V):
+            def objective(mat, S=S, m=m):
+                mats = list(S.mats)
+                mats[m] = mat
+                moved = type(S)(tuple(mats))
+                return total_loss(moved, F, ds, hp) if S is P else total_loss(P, moved, ds, hp)
 
-        err = finite_diff_check(obj_p, P.mats[m], dP[m], h=args.h)
-        print(f"P[{m}] max_rel_err={err:.3e}")
-        if err > GRADCHECK_BOUND:
-            failures.append(f"P[{m}]")
-
-    for m in range(ds.V):
-        def obj_f(mat, m=m):
-            mats = list(F.mats)
-            mats[m] = mat
-            return total_loss(P, RecoverySet(tuple(mats)), ds, hp)
-
-        err = finite_diff_check(obj_f, F.mats[m], dF[m], h=args.h)
-        print(f"F[{m}] max_rel_err={err:.3e}")
-        if err > GRADCHECK_BOUND:
-            failures.append(f"F[{m}]")
+            err = finite_diff_check(objective, S.mats[m], grads[m], h=args.h)
+            print(f"{name}[{m}] max_rel_err={err:.3e}")
+            if err > GRADCHECK_BOUND:
+                failures.append(f"{name}[{m}]")
 
     if failures:
         print(f"FAIL: blocks over {GRADCHECK_BOUND:g}: {', '.join(failures)}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired
-from .loss import EmbeddingSet, ProjectionSet, _check_projections
+from .loss import EmbeddingSet, ProjectionSet, embeddings
 from .optim import TrainConfig, config_to_dict, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -27,17 +27,19 @@ REPORT_SCHEMA_VERSION = 1
 
 def project_per_view(P: ProjectionSet, ds: MultiViewDataset) -> EmbeddingSet:
     """Strategy I: separate d x n embeddings P_m^T X^m."""
-    _check_projections(P, ds)
-    return EmbeddingSet(tuple(P.mats[m].T @ ds.views[m] for m in range(ds.V)))
+    return EmbeddingSet(tuple(embeddings(P, ds)))
 
 
-def fuse(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
-    """Strategy II: the sum of all per-view embeddings."""
-    embs = project_per_view(P, ds).embs
+def _summed(embs) -> np.ndarray:
     out = embs[0].copy()
     for e in embs[1:]:
         out += e
     return out
+
+
+def fuse(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
+    """Strategy II: the sum of all per-view embeddings."""
+    return _summed(embeddings(P, ds))
 
 
 def knn_classify(
@@ -127,19 +129,13 @@ def _one_repeat(
     for d in sweep:
         cfg_d = replace(cfg, hp=replace(cfg.hp, d=d))
         P, _, _ = train(train_p, cfg_d)
-        accs = {}
-        per_view = []
-        for m in range(ds.V):
-            pred = knn_classify(
-                P.mats[m].T @ train_p.views[m],
-                train_p.labels,
-                P.mats[m].T @ test_p.views[m],
-            )
-            acc = accuracy_pct(pred, test_p.labels)
-            accs[f"view{m + 1}"] = acc
-            per_view.append(acc)
-        accs["Mean"] = float(np.mean(per_view))
-        pred = knn_classify(fuse(P, train_p), train_p.labels, fuse(P, test_p))
+        gallery, query = embeddings(P, train_p), embeddings(P, test_p)
+        accs = {
+            f"view{m + 1}": accuracy_pct(knn_classify(g, train_p.labels, q), test_p.labels)
+            for m, (g, q) in enumerate(zip(gallery, query))
+        }
+        accs["Mean"] = float(np.mean(list(accs.values())))
+        pred = knn_classify(_summed(gallery), train_p.labels, _summed(query))
         accs["II"] = accuracy_pct(pred, test_p.labels)
         out[d] = accs
     return out

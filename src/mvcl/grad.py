@@ -1,11 +1,11 @@
 """Analytic gradients of the triple-head objective, plus their referee.
 
-The gradients here are exact derivatives of the loss definitions in
-:mod:`mvcl.loss`, hand-derived via the chain rule and certified against
-central finite differences. Every head is one call pattern of the kernel
-:func:`mvcl.loss.contrast`, which returns the loss and its gradient with
-respect to both column families from the same pass; this module only
-chains those through the embeddings Y^m = P_m^T X^m.
+The objective has one home, :mod:`mvcl.loss`: ``_p_heads`` (sample +
+alpha * feature, the heads that see only P) and ``_f_head`` (beta *
+recovery, the one head that sees F) return each value with its gradient
+from the same pass of the kernel :func:`mvcl.loss.contrast`. This module
+composes them into d/dP and d/dF through the embeddings Y^m = P_m^T X^m;
+the gradients are certified against central finite differences.
 """
 
 from __future__ import annotations
@@ -19,31 +19,11 @@ from .loss import (  # noqa: F401  (cosine_logits stays importable from here)
     ProjectionSet,
     RecoverySet,
     cosine_logits,
-    _check_projections,
+    embeddings,
     _check_recovery,
-    _feature_head,
-    _recovery_head,
-    _sample_head,
+    _f_head,
+    _p_heads,
 )
-
-
-def _weighted_dY(
-    X: list[np.ndarray],
-    Y: list[np.ndarray],
-    Fmats,
-    hp: HyperParams,
-) -> list[np.ndarray]:
-    """Total-objective gradient w.r.t. the embeddings, all heads combined."""
-    _, dY = _sample_head(Y, hp.sigma1, grad=True)
-    if hp.alpha != 0.0:
-        _, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad=True)
-        for acc, gm in zip(dY, g):
-            acc += hp.alpha * gm
-    if hp.beta != 0.0:
-        _, g, _ = _recovery_head(X, Y, Fmats, hp.sigma2, grad=True)
-        for acc, gm in zip(dY, g):
-            acc += hp.beta * gm
-    return dY
 
 
 def grad_wrt_P(
@@ -54,24 +34,20 @@ def grad_wrt_P(
     Every head reaches P only through the embeddings Y^m = P_m^T X^m, so the
     per-view result is X^m times the accumulated embedding gradient.
     """
-    _check_projections(P, ds)
+    Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    Y = [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
-    dY = _weighted_dY(ds.views, Y, F.mats, hp)
-    return tuple(ds.views[m] @ dY[m].T for m in range(ds.V))
+    _, dY = _p_heads(Y, hp, grad=True)
+    _, dYr, _ = _f_head(ds.views, Y, F.mats, hp, grad=True)
+    return tuple(x @ (a + b).T for x, a, b in zip(ds.views, dY, dYr))
 
 
 def grad_wrt_F(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> tuple[np.ndarray, ...]:
     """beta * d(recovery-level loss)/dF_m; zero matrices when beta is 0."""
-    _check_projections(P, ds)
+    Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    if hp.beta == 0.0:
-        return tuple(np.zeros_like(f) for f in F.mats)
-    Y = [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
-    _, _, dF = _recovery_head(ds.views, Y, F.mats, hp.sigma2, grad=True)
-    return tuple(hp.beta * g for g in dF)
+    return tuple(_f_head(ds.views, Y, F.mats, hp, grad=True)[2])
 
 
 def finite_diff_check(

@@ -22,6 +22,7 @@ left-to-right ordering for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,10 +57,12 @@ class HyperParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if min(self.sigma1, self.sigma2, self.sigma3) <= 0:
-            raise ValueError("temperatures must be > 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
+        sigmas = (self.sigma1, self.sigma2, self.sigma3)
+        # 1/sigma scales every logit, so it must be finite too.
+        if not all(0 < s < math.inf and 1.0 / float(s) < math.inf for s in sigmas):
+            raise ValueError("temperatures must be finite and > 0, with a finite reciprocal")
 
 
 def _check_mats(mats, what: str) -> tuple[np.ndarray, ...]:
@@ -134,14 +137,6 @@ class EmbeddingSet:
     @property
     def V(self) -> int:
         return len(self.embs)
-
-
-def _check_projections(P: ProjectionSet, ds: MultiViewDataset) -> None:
-    if P.V != ds.V:
-        raise DimError(f"{P.V} projections for {ds.V} views")
-    for m, (a, D) in enumerate(zip(P.mats, ds.dims)):
-        if a.shape[0] != D:
-            raise DimError(f"projection {m} has {a.shape[0]} rows, view has {D} features")
 
 
 def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
@@ -255,7 +250,11 @@ def contrast(
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
     """Per-view subspace embeddings P_m^T X^m (d x n each)."""
-    _check_projections(P, ds)
+    if P.V != ds.V:
+        raise DimError(f"{P.V} projections for {ds.V} views")
+    for m, (a, D) in enumerate(zip(P.mats, ds.dims)):
+        if a.shape[0] != D:
+            raise DimError(f"projection {m} has {a.shape[0]} rows, view has {D} features")
     return [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
 
 
@@ -368,18 +367,47 @@ def recovery_level_loss(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    _check_projections(P, ds)
+    Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    return _recovery_head(ds.views, embeddings(P, ds), F.mats, sigma2)[0]
+    return _recovery_head(ds.views, Y, F.mats, sigma2)[0]
+
+
+def _p_heads(Y: list[np.ndarray], hp: HyperParams, grad: bool = False):
+    """sample + alpha * feature, the heads that see only P, at the embeddings Y.
+
+    Returns (value, d/dY), d/dY None without ``grad``; a zero alpha skips the feature head.
+    """
+    value, dY = _sample_head(Y, hp.sigma1, grad)
+    if hp.alpha != 0.0:
+        f, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad)
+        value += hp.alpha * f
+        if grad:
+            for acc, gm in zip(dY, g):
+                acc += hp.alpha * gm
+    return value, dY
+
+
+def _f_head(X, Y: list[np.ndarray], Fmats, hp: HyperParams, grad: bool = False):
+    """beta * recovery, the one head that sees F, at the embeddings Y.
+
+    Returns (value, d/dY, d/dF), gradients None without ``grad``; a zero beta
+    skips the head, giving 0 and zero gradients.
+    """
+    if hp.beta == 0.0:
+        if not grad:
+            return 0.0, None, None
+        return 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats]
+    value, dY, dF = _recovery_head(X, Y, Fmats, hp.sigma2, grad)
+    if grad:
+        dY = [hp.beta * g for g in dY]
+        dF = [hp.beta * g for g in dF]
+    return hp.beta * value, dY, dF
 
 
 def total_loss(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> float:
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
-    value = sample_level_loss(P, ds, hp.sigma1)
-    if hp.alpha != 0.0:
-        value += hp.alpha * feature_level_loss(P, ds, hp.sigma3, hp.fea_include_self_view)
-    if hp.beta != 0.0:
-        value += hp.beta * recovery_level_loss(P, F, ds, hp.sigma2)
-    return value
+    Y = embeddings(P, ds)
+    _check_recovery(F, P.d, ds)
+    return _p_heads(Y, hp)[0] + _f_head(ds.views, Y, F.mats, hp)[0]

@@ -129,9 +129,38 @@ def test_train_small_temperature_exits_0(synth_dir, tmp_path):
     assert all(np.isfinite(report["losses"]))
 
 
+@pytest.mark.parametrize("flags", [
+    ("--sigma", "inf"), ("--sigma", "nan"), ("--sigma", "1e-320"),
+    ("--alpha", "nan"), ("--beta", "inf"), ("--tol", "nan"),
+], ids=lambda f: f"{f[0][2:]}={f[1]}")
+def test_train_nonfinite_hyperparameter_exits_2(synth_dir, tmp_path, capsys, flags):
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    assert run_cli("train", "--views", views, "--d", "2", *flags,
+                   "--max-iters", "5", "--out", str(tmp_path / "m.json")) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"hyper": 5},
+    {"hyper": {"d": "abc"}},
+    {"hyper": {"d": 2.5}},
+    {"hyper": {"d": 2}, "d_sweep": 5},
+    {"hyper": {"d": 2}, "train": {"max_iters": "7"}},
+], ids=["hyper-not-object", "d-string", "d-float", "d_sweep-not-list", "max_iters-string"])
+def test_train_config_type_error_exits_2(synth_dir, tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, **bad}))
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    assert run_cli("train", "--views", views, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "m.json")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config")
+
+
 def test_train_divergence_exits_4(synth_dir, tmp_path):
     views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
-    assert run_cli("train", "--views", views, "--d", "2", "--sigma", "1e-320",
+    assert run_cli("train", "--views", views, "--d", "2", "--alpha", "1e308",
                    "--max-iters", "5", "--out", str(tmp_path / "m.json")) == 4
 
 

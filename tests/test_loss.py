@@ -188,6 +188,17 @@ def test_hyperparams_validation():
         HyperParams(d=2, sigma2=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("nan")), ("alpha", float("inf")),
+    ("beta", float("nan")), ("beta", float("inf")),
+    ("sigma1", float("nan")), ("sigma2", float("inf")),
+    ("sigma3", 1e-320),  # finite, but 1/sigma overflows
+])
+def test_hyperparams_reject_nonfinite(field, value):
+    with pytest.raises(ValueError):
+        HyperParams(d=2, **{field: value})
+
+
 def test_shape_mismatch_raises_dim_error():
     ds, P, F = random_instance(11, V=2, n=4, dims=(5, 4), d=2)
     bad_P = ProjectionSet((np.ones((6, 2)), np.ones((4, 2))))

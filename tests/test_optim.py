@@ -27,8 +27,8 @@ from mvcl import (
 from mvcl.optim import config_from_dict, config_to_dict
 
 
-def _train_instance(seed=7):
-    spec = SynthSpec(classes=3, per_class=10, dims=(8, 7), shared_dims=2,
+def _train_instance(seed=7, dims=(8, 7)):
+    spec = SynthSpec(classes=3, per_class=10, dims=dims, shared_dims=2,
                      specific_dims=2, redundant_copies=1, noise_std=1.0, seed=seed)
     ds, _ = preprocess(synth_generate(spec))
     return ds
@@ -90,6 +90,10 @@ def test_adam_defaults():
 def test_adam_validation():
     with pytest.raises(ValueError):
         AdamParams(gamma=0.0)
+    for field in ("gamma", "epsilon"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                AdamParams(**{field: bad})
     with pytest.raises(ValueError):
         AdamParams(beta1=1.0)
     state = AdamState.zeros((2, 2))
@@ -113,6 +117,12 @@ def test_adam_second_moment_stays_nonnegative():
 def test_train_defaults():
     cfg = TrainConfig(hp=HyperParams(d=2))
     assert cfg.tol == 1e-3 and cfg.max_iters == 1000
+
+
+@pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
+def test_train_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        TrainConfig(hp=HyperParams(d=2), tol=tol)
 
 
 def test_train_stops_immediately_with_huge_tol():
@@ -181,17 +191,27 @@ def test_small_temperatures_stay_finite(sigma):
 
 def test_train_divergence_raises_with_iteration():
     ds = _train_instance()
-    hp = HyperParams(d=2, sigma1=1e-320, sigma2=1e-320, sigma3=1e-320)
+    hp = HyperParams(d=2, alpha=1e308)
     with pytest.raises(NumericDivergence) as exc:
         train(ds, TrainConfig(hp=hp, max_iters=5))
     assert exc.value.iteration == 0
 
 
-def test_train_stacked_adam_matches_per_view_adam():
-    # train() keeps one Adam state for the row-stacked projections; Adam is
-    # entrywise, so that must equal one state per view, bit for bit.
-    ds = _train_instance(seed=2)
-    hp = HyperParams(d=2)
+@pytest.mark.parametrize("dims, weights", [
+    ((8, 7), {}),
+    ((8, 7), {"alpha": 0.0}),
+    ((8, 7), {"beta": 0.0}),
+    ((8, 7), {"alpha": 0.0, "beta": 0.0}),
+    ((8, 7), {"fea_include_self_view": False}),
+    ((8, 7, 6), {}),
+], ids=["default", "alpha0", "beta0", "alpha0-beta0", "no-self-view", "3-views"])
+def test_train_stacked_adam_matches_per_view_adam(dims, weights):
+    # train() keeps one Adam state for the row-stacked projections and reuses
+    # one evaluation per point for the loss and both gradient steps. Replayed
+    # through the public gradients with one Adam state per view, the
+    # parameters and every loss must agree bit for bit.
+    ds = _train_instance(seed=2, dims=dims)
+    hp = HyperParams(d=2, **weights)
     cfg = TrainConfig(hp=hp, max_iters=6, tol=1e-300)
     P, F, rep = train(ds, cfg)
     assert rep.iterations == 6
@@ -200,13 +220,15 @@ def test_train_stacked_adam_matches_per_view_adam():
     pm, fm = list(p0.mats), list(f0.mats)
     ps = [AdamState.zeros(a.shape) for a in pm]
     fs = [AdamState.zeros(a.shape) for a in fm]
-    for _ in range(rep.iterations):
+    assert total_loss(p0, f0, ds, hp) == rep.losses[0]
+    for t in range(1, rep.iterations + 1):
         dF = grad_wrt_F(ProjectionSet(tuple(pm)), RecoverySet(tuple(fm)), ds, hp)
         for m in range(ds.V):
             fs[m], fm[m] = adam_step(fs[m], dF[m], fm[m], cfg.adam)
         dP = grad_wrt_P(ProjectionSet(tuple(pm)), RecoverySet(tuple(fm)), ds, hp)
         for m in range(ds.V):
             ps[m], pm[m] = adam_step(ps[m], dP[m], pm[m], cfg.adam)
+        assert total_loss(ProjectionSet(tuple(pm)), RecoverySet(tuple(fm)), ds, hp) == rep.losses[t]
     for a, b in zip(P.mats + F.mats, pm + fm):
         assert np.array_equal(a, b)
 

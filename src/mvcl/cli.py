@@ -143,8 +143,11 @@ def _variant_label(hp: HyperParams) -> str:
     return "CMC-ablation" if hp.alpha == 0.0 and hp.beta == 0.0 else "triple-head"
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma list of integers, got {text!r}") from None
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -162,7 +165,7 @@ def _cmd_synth(args) -> int:
     spec = SynthSpec(
         classes=args.classes,
         per_class=args.per_class,
-        dims=_parse_int_list(args.dims) if args.dims else base.dims,
+        dims=_parse_int_list(args.dims, "--dims") if args.dims else base.dims,
         shared_dims=args.shared if args.shared is not None else base.shared_dims,
         specific_dims=args.specific if args.specific is not None else base.specific_dims,
         redundant_copies=args.redundant if args.redundant is not None else base.redundant_copies,
@@ -268,7 +271,7 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gradcheck(args) -> int:
-    dims = _parse_int_list(args.dims)
+    dims = _parse_int_list(args.dims, "--dims")
     if len(dims) != args.views:
         raise ValueError(f"--dims names {len(dims)} views but --views is {args.views}")
     ds, P, F = random_instance(args.seed, V=args.views, n=args.n, dims=dims, d=args.d)
@@ -316,7 +319,7 @@ def _load_data_dir(dirpath: str | Path, header: bool) -> MultiViewDataset:
 def _cmd_benchmark(args) -> int:
     ds = _load_data_dir(args.data, args.header)
     plan = SplitPlan(M=args.M, repeats=args.repeats, seed=args.seed)
-    sweep = list(_parse_int_list(args.d_sweep)) if args.d_sweep else default_d_sweep(ds.dims)
+    sweep = list(_parse_int_list(args.d_sweep, "--d-sweep")) if args.d_sweep else default_d_sweep(ds.dims)
     if not sweep:
         raise ValueError("empty d sweep; pass --d-sweep")
     hp = HyperParams(

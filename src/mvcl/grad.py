@@ -3,7 +3,7 @@
 The objective has one home, :mod:`mvcl.loss`: ``_p_heads`` (sample +
 alpha * feature, the heads that see only P) and ``_f_head`` (beta *
 recovery, the one head that sees F) return each value with its gradient
-from the same pass of the kernel :func:`mvcl.loss.contrast`. This module
+from the same pass. This module
 composes them into d/dP and d/dF through the embeddings Y^m = P_m^T X^m;
 the gradients are certified against central finite differences.
 """
@@ -23,6 +23,7 @@ from .loss import (  # noqa: F401  (cosine_logits stays importable from here)
     _check_recovery,
     _f_head,
     _p_heads,
+    _unit_columns,
 )
 
 
@@ -37,7 +38,7 @@ def grad_wrt_P(
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
     _, dY = _p_heads(Y, hp, grad=True)
-    _, dYr, _ = _f_head(ds.views, Y, F.mats, hp, grad=True)
+    _, dYr, _ = _f_head(_unit_columns(ds.views), Y, F.mats, hp, grad=True, with_dF=False)
     return tuple(x @ (a + b).T for x, a, b in zip(ds.views, dY, dYr))
 
 
@@ -47,7 +48,7 @@ def grad_wrt_F(
     """beta * d(recovery-level loss)/dF_m; zero matrices when beta is 0."""
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    return tuple(_f_head(ds.views, Y, F.mats, hp, grad=True)[2])
+    return tuple(_f_head(_unit_columns(ds.views), Y, F.mats, hp, grad=True)[2])
 
 
 def finite_diff_check(
@@ -59,8 +60,8 @@ def finite_diff_check(
     is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). The default
     h balances truncation against float64 roundoff.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be finite and > 0")
     param = np.asarray(param, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
     if analytic.shape != param.shape:

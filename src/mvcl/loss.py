@@ -12,11 +12,12 @@ similarities:
   recovery level  anchors are original samples, candidates are cross-view
                   embeddings mapped back to the anchor view's ambient space.
 
-All three run through one kernel, :func:`contrast`; the heads differ only
-in which columns they pass as anchors and as candidates, and the kernel
-returns the gradient from the same pass. Every expectation is an arithmetic
-mean over the anchor index and a plain sum over view pairs, so loss
-magnitudes do not grow with n. Accumulation is float64 with a fixed
+All three share one softmax cross-entropy, ``_xent``, giving the loss and
+its gradient from one pass. The sample and feature heads reach it through
+the cosine kernel :func:`contrast`; the recovery head reassociates its logits
+so that no n x n product runs over the ambient dimension. Every expectation
+is an arithmetic mean over the anchor index and a plain sum over view pairs,
+so loss magnitudes do not grow with n. Accumulation is float64 with a fixed
 left-to-right ordering for reproducibility.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -196,28 +198,9 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     return G
 
 
-def contrast(
-    A: np.ndarray,
-    B: np.ndarray,
-    sigma: float,
-    k: int = 1,
-    grad: bool = False,
-    anchor_grad: bool = True,
-):
-    """Softmax cross-entropy over temperature-scaled cosines, the kernel of every head.
-
-    The anchors are the n columns of A; the candidates are the k*n columns of
-    B, read as k side-by-side blocks of n, and the positives of anchor i are
-    column i of every block. With S = cosine_logits(A, B, sigma) the loss is
-    the mean over i of
-
-        log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
-
-    Returns (loss, dA, dB). The gradients are None without ``grad``, and dA
-    is None when ``anchor_grad`` is False, which skips its GEMM. Only one
-    n x kn matrix is alive at a time.
-    """
-    S, Ah, Bh, na, nb = cosine_logits(A, B, sigma)
+def _xent(S: np.ndarray, sigma: float, k: int, grad: bool):
+    """Softmax cross-entropy of logits S (n x kn) whose row i has its positives at
+    (i, b*n + i); returns (loss, E = n * dloss/dS in place of S, or None)."""
     n = S.shape[0]
     pidx = _positive_index(n, k)
     pos = S.take(pidx)
@@ -236,16 +219,40 @@ def contrast(
     rs = E.sum(axis=1)
     loss = float(np.log(rs).sum() - lpos.sum()) / n
     if not grad:
-        return loss, None, None
-
-    # dL/dS = (softmax over the row - softmax over the row's positives) / n;
-    # the 1/n and the 1/sigma of the logits are applied to the small factors.
+        return loss, None
+    # softmax over the row - softmax over the row's positives
     E /= rs[:, None]
     E.ravel()[pidx] -= np.exp(pos - lpos[:, None])
-    scale = 1.0 / (n * sigma)
-    dA = _through_norm(Bh @ E.T, Ah, na, scale) if anchor_grad else None
+    return loss, E
+
+
+def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool = False):
+    """Softmax cross-entropy over temperature-scaled cosines, the kernel of the P-only heads.
+
+    The anchors are the n columns of A; the candidates are the k*n columns of
+    B, read as k side-by-side blocks of n, and the positives of anchor i are
+    column i of every block. With S = cosine_logits(A, B, sigma) the loss is
+    the mean over i of
+
+        log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
+
+    Returns (loss, dA, dB), the gradients None without ``grad``. Only one
+    n x kn matrix is alive at a time.
+    """
+    S, Ah, Bh, na, nb = cosine_logits(A, B, sigma)
+    loss, E = _xent(S, sigma, k, grad)
+    if not grad:
+        return loss, None, None
+    # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
+    scale = 1.0 / (S.shape[0] * sigma)
+    dA = _through_norm(Bh @ E.T, Ah, na, scale)
     dB = _through_norm(Ah @ E, Bh, nb, scale)
     return loss, dA, dB
+
+
+def _unit_columns(X) -> list[np.ndarray]:
+    """X^m / ||x_i^m|| (floored) for every view: the recovery head's anchors."""
+    return [x / floored_col_norms(x) for x in X]
 
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
@@ -301,27 +308,47 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
     return total, dY
 
 
-def _recovery_head(X, Y: list[np.ndarray], Fmats, sigma: float, grad: bool = False):
-    """Recovery-level loss, and d/dY and d/dF with ``grad`` (else None).
+def _recovery_pair(xh, y, f, sigma: float, grad: bool, with_dF: bool):
+    """One (m, v) term of ``_recovery_head``, apart so that its n x n logits die with it."""
+    ny = floored_col_norms(y)
+    yh = y / ny
+    Z = f.T @ yh
+    nz = floored_col_norms(Z)
+    U = yh / nz
+    W = f @ xh
+    loss, E = _xent(W.T @ (U / sigma), sigma, 1, grad)
+    if not grad:
+        return loss, None, None
+    c = 1.0 / (xh.shape[1] * sigma)
+    WE = W @ E
+    r = (U * WE).sum(axis=0) * (nz > NORM_FLOOR)
+    Zh = Z / nz
+    dY = (WE - (f @ Zh) * r) * (c / (nz * ny))
+    dF = (c * U @ E.T) @ xh.T - (c * r * U) @ Zh.T if with_dF else None
+    return loss, dY, dF
 
-    Anchor x_i^m is contrasted against Z = F_m^T Y^v, the embeddings of view
-    v mapped back into view m's ambient space. X is fixed data, so no
-    gradient is taken with respect to it.
+
+def _recovery_head(Xh, Y, Fmats, sigma: float, grad: bool = False, with_dF: bool = True):
+    """Recovery loss, with d/dY if ``grad`` and d/dF if also ``with_dF`` (else None).
+
+    Anchor x_i^m (unit columns Xh of fixed data) is contrasted with the columns
+    of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
+    Reassociated, no n x n product runs over D: with yh = Y^v / ny, Z = F_m^T yh,
+    U = yh / nz, W = F_m Xh, c = 1/(n sigma), E = n * dloss/dS, r = colsum(U * W E)
+    (0 where nz is floored), S = W^T U / sigma, dY = (W E - F_m (Z/nz) r) c / (nz ny)
+    and dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Y is normalised before F_m: at
+    d = 1, yh is exactly +-1, so the loss is bit-constant in P, as the objective is.
     """
-    V = len(Y)
     total = 0.0
     dY = [np.zeros_like(y) for y in Y] if grad else None
-    dF = [np.zeros_like(f) for f in Fmats] if grad else None
-    for m in range(V):
-        for v in range(V):
-            if v == m:
-                continue
-            Z = Fmats[m].T @ Y[v]
-            loss, _, dZ = contrast(X[m], Z, sigma, grad=grad, anchor_grad=False)
-            total += loss
-            if grad:
-                dF[m] += Y[v] @ dZ.T
-                dY[v] += Fmats[m] @ dZ
+    dF = [np.zeros_like(f) for f in Fmats] if grad and with_dF else None
+    for m, v in permutations(range(len(Y)), 2):
+        loss, gy, gf = _recovery_pair(Xh[m], Y[v], Fmats[m], sigma, grad, with_dF)
+        total += loss
+        if grad:
+            dY[v] += gy
+        if dF is not None:
+            dF[m] += gf
     return total, dY, dF
 
 
@@ -369,7 +396,7 @@ def recovery_level_loss(
         raise ValueError("sigma2 must be > 0")
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    return _recovery_head(ds.views, Y, F.mats, sigma2)[0]
+    return _recovery_head(_unit_columns(ds.views), Y, F.mats, sigma2)[0]
 
 
 def _p_heads(Y: list[np.ndarray], hp: HyperParams, grad: bool = False):
@@ -387,20 +414,17 @@ def _p_heads(Y: list[np.ndarray], hp: HyperParams, grad: bool = False):
     return value, dY
 
 
-def _f_head(X, Y: list[np.ndarray], Fmats, hp: HyperParams, grad: bool = False):
-    """beta * recovery, the one head that sees F, at the embeddings Y.
-
-    Returns (value, d/dY, d/dF), gradients None without ``grad``; a zero beta
-    skips the head, giving 0 and zero gradients.
-    """
+def _f_head(Xh, Y, Fmats, hp: HyperParams, grad: bool = False, with_dF: bool = True):
+    """beta * recovery, the one head that sees F, at the embeddings Y and unit views Xh;
+    returns as ``_recovery_head`` does, and a zero beta skips it, giving 0 and zero gradients."""
     if hp.beta == 0.0:
         if not grad:
             return 0.0, None, None
-        return 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats]
-    value, dY, dF = _recovery_head(X, Y, Fmats, hp.sigma2, grad)
+        return 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats] if with_dF else None
+    value, dY, dF = _recovery_head(Xh, Y, Fmats, hp.sigma2, grad, with_dF)
     if grad:
         dY = [hp.beta * g for g in dY]
-        dF = [hp.beta * g for g in dF]
+        dF = [hp.beta * g for g in dF] if with_dF else None
     return hp.beta * value, dY, dF
 
 
@@ -410,4 +434,4 @@ def total_loss(
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    return _p_heads(Y, hp)[0] + _f_head(ds.views, Y, F.mats, hp)[0]
+    return _p_heads(Y, hp)[0] + _f_head(_unit_columns(ds.views), Y, F.mats, hp)[0]

@@ -269,6 +269,12 @@ def test_gradcheck_flag_validation():
     assert run_cli("gradcheck", "--views", "3", "--dims", "6,5") == 2
 
 
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+def test_gradcheck_bad_step_exits_2(capsys, h):
+    assert run_cli("gradcheck", "--h", h) == 2
+    assert capsys.readouterr().err == "error: h must be finite and > 0\n"
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -306,6 +312,24 @@ def test_benchmark_bad_thread_count_names_the_variable(synth_dir, tmp_path, caps
                    "--d-sweep", "3", "--max-iters", "2", "--out", str(tmp_path / "r.csv")) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MVCL_THREADS" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("synth", "--dims", "5,q"),
+    ("gradcheck", "--dims", "a,b"),
+    ("benchmark", "--d-sweep", "5,x"),
+])
+def test_integer_list_flag_names_itself(synth_dir, tmp_path, capsys, command, flag, text):
+    out = tmp_path / "out"
+    rest = {
+        "synth": ["--out", str(out)],
+        "gradcheck": [],
+        "benchmark": ["--data", str(synth_dir), "--M", "4", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, flag, text, *rest) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a comma list of integers, got {text!r}\n"
+    assert not out.exists()
 
 
 def test_benchmark_io_failure_exits_3(synth_dir, tmp_path):

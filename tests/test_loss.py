@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from mvcl import (
     total_loss,
 )
 from mvcl.grad import random_instance
-from mvcl.loss import cosine_logits
+from mvcl.loss import _recovery_head, _unit_columns, contrast, cosine_logits
 
 SIGMA = 0.1
 
@@ -113,6 +116,70 @@ def test_recovery_loss_perfect_recovery_closed_form():
     F = RecoverySet((eye, eye))
     expected = 2.0 * np.log1p(3.0 * np.exp(-10.0))
     assert recovery_level_loss(P, F, ds, SIGMA) == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the reassociated recovery head
+# ---------------------------------------------------------------------------
+
+def _recovery_inputs(seed, V, n, D, d):
+    rng = np.random.default_rng(seed)
+    X = [rng.standard_normal((D, n)) for _ in range(V)]
+    Y = [rng.standard_normal((d, n)) for _ in range(V)]
+    Fmats = [rng.standard_normal((d, D)) for _ in range(V)]
+    return X, Y, Fmats
+
+
+def _direct_recovery(X, Y, Fmats, sigma):
+    """The head as written: contrast x_i^m with the columns of Z = F_m^T Y^v, chain rule through Z."""
+    total, dY, dF = 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats]
+    for m, v in itertools.permutations(range(len(Y)), 2):
+        loss, _, dZ = contrast(X[m], Fmats[m].T @ Y[v], sigma, grad=True)
+        total += loss
+        dF[m] += Y[v] @ dZ.T
+        dY[v] += Fmats[m] @ dZ
+    return total, dY, dF
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
+def test_recovery_head_matches_direct_chain_rule(V, sigma):
+    X, Y, Fmats = _recovery_inputs(30 + V, V, n=200, D=40, d=6)
+    loss, dY, dF = _recovery_head(_unit_columns(X), Y, Fmats, sigma, grad=True)
+    want_loss, want_dY, want_dF = _direct_recovery(X, Y, Fmats, sigma)
+    assert loss == pytest.approx(want_loss, rel=1e-10)
+    for got, want in zip(dY + dF, want_dY + want_dF):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # d/dY alone is the same arithmetic, without d/dF
+    loss2, dY2, dF2 = _recovery_head(_unit_columns(X), Y, Fmats, sigma, grad=True, with_dF=False)
+    assert loss2 == loss and dF2 is None
+    assert all(np.array_equal(a, b) for a, b in zip(dY2, dY))
+
+
+def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
+    # At d = 1 every cosine is +-1 whatever the embedding's scale, so the
+    # loss must not move by even one ulp (c1 measures this at seed 7).
+    X, Y, Fmats = _recovery_inputs(40, 2, n=30, D=5, d=1)
+    Xh = _unit_columns(X)
+    base = _recovery_head(Xh, Y, Fmats, 0.1)[0]
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        scaled = [y * rng.uniform(0.5, 2.0, size=y.shape[1]) for y in Y]
+        assert _recovery_head(Xh, scaled, Fmats, 0.1)[0] == base
+    assert _recovery_head(Xh, [y * (1.0 + 1e-5) for y in Y], Fmats, 0.1)[0] == base
+
+
+def test_recovery_head_keeps_one_logit_matrix_alive():
+    n = 1500
+    X, Y, Fmats = _recovery_inputs(42, 2, n=n, D=20, d=4)
+    Xh = _unit_columns(X)
+    tracemalloc.start()
+    try:
+        _recovery_head(Xh, Y, Fmats, 0.1, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,11 @@ from .errors import (
 from .evaluate import (
     BenchmarkReport,
     BenchmarkRow,
+    accuracies,
     accuracy_pct,
     benchmark,
     default_d_sweep,
-    fuse,
     knn_classify,
-    project_per_view,
     report_to_csv,
     report_to_dict,
 )
@@ -47,7 +46,6 @@ from .grad import (
     random_instance,
 )
 from .loss import (
-    EmbeddingSet,
     HyperParams,
     ProjectionSet,
     RecoverySet,

@@ -14,9 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
+    FeatureStats,
     MultiViewDataset,
     SplitPlan,
     SynthSpec,
@@ -27,20 +26,13 @@ from .data import (
     synth_generate,
 )
 from .errors import DimError, MvclError, NumericDivergence
-from .evaluate import (
-    benchmark,
-    default_d_sweep,
-    fuse,
-    knn_classify,
-    accuracy_pct,
-    report_to_csv,
-    report_to_dict,
-)
+from .evaluate import accuracies, benchmark, default_d_sweep, report_to_csv, report_to_dict
 from .grad import finite_diff_check, grad_wrt_F, grad_wrt_P, random_instance
-from .loss import HyperParams, embeddings, total_loss
+from .loss import HyperParams, total_loss
 from .optim import (
-    AdamParams,
     TrainConfig,
+    config_from_sections,
+    config_section,
     config_to_dict,
     load_model,
     save_model,
@@ -51,92 +43,24 @@ GRADCHECK_BOUND = 1e-5
 CONFIG_SCHEMA_VERSION = 1
 
 
-def _field_types(cls, *skip: str) -> dict[str, str]:
-    """Field name -> annotation ("int", "float", "bool") of a config dataclass."""
-    return {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
+def _read_config(path: str | Path) -> tuple[TrainConfig, bool, bool]:
+    """A ``--config`` file: (cfg, center, unit_variance); unknown keys are rejected."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
+        raise ValueError("config must be a JSON object declaring schema_version = 1")
+    unknown = set(obj) - {"schema_version", "hyper", "adam", "train", "preprocess"}
+    if unknown:
+        raise ValueError(f"config has unknown keys {sorted(unknown)}")
+    cfg = config_from_sections(obj.get("hyper", {}), obj.get("adam", {}), obj.get("train", {}))
+    pre = config_section(obj.get("preprocess", {}), "preprocess", FeatureStats, "means", "stds")
+    return cfg, pre.get("center", True), pre.get("unit_variance", False)
 
 
-def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field; a bool is no number and a float no int."""
-    if annotation == "bool" or isinstance(value, bool):
-        return annotation == "bool" and isinstance(value, bool)
-    return isinstance(value, int) or (annotation == "float" and isinstance(value, float))
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """JSON-backed run settings; unknown keys are rejected on load."""
-
-    train: TrainConfig
-    split: SplitPlan | None = None
-    center: bool = True
-    unit_variance: bool = False
-    d_sweep: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunConfig":
-        if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-            raise ValueError("config must be a JSON object declaring schema_version = 1")
-        allowed = {"schema_version", "hyper", "adam", "train", "split", "preprocess", "d_sweep"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name, types):
-            sec = obj.get(name, {})
-            if not isinstance(sec, dict):
-                raise ValueError(f"config '{name}' must be an object, got {sec!r}")
-            extra = set(sec) - set(types)
-            if extra:
-                raise ValueError(f"unknown keys in '{name}': {sorted(extra)}")
-            for key, value in sec.items():
-                if not _json_type_ok(value, types[key]):
-                    raise ValueError(f"config '{name}.{key}' must be {types[key]}, got {value!r}")
-            return sec
-
-        hyper = section("hyper", _field_types(HyperParams))
-        if "d" not in hyper:
-            raise ValueError("config 'hyper' section must set d")
-        adam = section("adam", _field_types(AdamParams))
-        tr = section("train", _field_types(TrainConfig, "hp", "adam"))
-        pre = section("preprocess", {"center": "bool", "unit_variance": "bool"})
-        cfg = TrainConfig(hp=HyperParams(**hyper), adam=AdamParams(**adam), **tr)
-        plan = SplitPlan(**section("split", _field_types(SplitPlan))) if "split" in obj else None
-        sweep = obj.get("d_sweep")
-        if sweep is not None and not (
-            isinstance(sweep, list) and all(_json_type_ok(x, "int") for x in sweep)
-        ):
-            raise ValueError(f"config 'd_sweep' must be a list of integers, got {sweep!r}")
-        return cls(
-            train=cfg,
-            split=plan,
-            center=pre.get("center", True),
-            unit_variance=pre.get("unit_variance", False),
-            d_sweep=None if sweep is None else tuple(sweep),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "hyper": dataclasses.asdict(self.train.hp),
-            "adam": dataclasses.asdict(self.train.adam),
-            "train": {
-                "max_iters": self.train.max_iters,
-                "tol": self.train.tol,
-                "seed": self.train.seed,
-            },
-            "preprocess": {"center": self.center, "unit_variance": self.unit_variance},
-        }
-        if self.split is not None:
-            out["split"] = dataclasses.asdict(self.split)
-        if self.d_sweep is not None:
-            out["d_sweep"] = list(self.d_sweep)
-        return out
+def _flag_hyper(d: int, args) -> HyperParams:
+    """HyperParams from --alpha, --beta and --sigma, which sets all three temperatures."""
+    s = args.sigma
+    return HyperParams(d=d, alpha=args.alpha, beta=args.beta, sigma1=s, sigma2=s, sigma3=s)
 
 
 def _variant_label(hp: HyperParams) -> str:
@@ -187,8 +111,7 @@ def _cmd_synth(args) -> int:
 def _merged_train_config(args) -> tuple[TrainConfig, bool, bool]:
     """Defaults < config file < explicit flags; returns (cfg, center, unit_variance)."""
     if args.config:
-        rc = RunConfig.from_file(args.config)
-        cfg, center, unit_variance = rc.train, rc.center, rc.unit_variance
+        cfg, center, unit_variance = _read_config(args.config)
     elif args.d is None:
         raise ValueError("subspace dimension required: pass --d or a config file")
     else:
@@ -254,15 +177,9 @@ def _cmd_eval(args) -> int:
         gallery, _ = preprocess(gallery, stats=stats)
         query, _ = preprocess(query, stats=stats)
 
-    if args.strategy == "per-view":
-        accs = []
-        for m, (g, q) in enumerate(zip(embeddings(P, gallery), embeddings(P, query))):
-            accs.append(accuracy_pct(knn_classify(g, gallery.labels, q), query.labels))
-            print(f"view{m + 1} accuracy={accs[-1]:.2f}%")
-        print(f"Mean accuracy={float(np.mean(accs)):.2f}%")
-    else:
-        pred = knn_classify(fuse(P, gallery), gallery.labels, fuse(P, query))
-        print(f"II accuracy={accuracy_pct(pred, query.labels):.2f}%")
+    accs = accuracies(P, gallery, query)
+    for label in ["II"] if args.strategy == "fused" else [k for k in accs if k != "II"]:
+        print(f"{label} accuracy={accs[label]:.2f}%")
     return 0
 
 
@@ -275,10 +192,7 @@ def _cmd_gradcheck(args) -> int:
     if len(dims) != args.views:
         raise ValueError(f"--dims names {len(dims)} views but --views is {args.views}")
     ds, P, F = random_instance(args.seed, V=args.views, n=args.n, dims=dims, d=args.d)
-    hp = HyperParams(
-        d=args.d, alpha=args.alpha, beta=args.beta,
-        sigma1=args.sigma, sigma2=args.sigma, sigma3=args.sigma,
-    )
+    hp = _flag_hyper(args.d, args)
     dP = grad_wrt_P(P, F, ds, hp)
     dF = grad_wrt_F(P, F, ds, hp)
 
@@ -322,10 +236,7 @@ def _cmd_benchmark(args) -> int:
     sweep = list(_parse_int_list(args.d_sweep, "--d-sweep")) if args.d_sweep else default_d_sweep(ds.dims)
     if not sweep:
         raise ValueError("empty d sweep; pass --d-sweep")
-    hp = HyperParams(
-        d=sweep[0], alpha=args.alpha, beta=args.beta,
-        sigma1=args.sigma, sigma2=args.sigma, sigma3=args.sigma,
-    )
+    hp = _flag_hyper(sweep[0], args)
     cfg = TrainConfig(hp=hp, max_iters=args.max_iters, tol=args.tol, seed=args.train_seed)
 
     report = benchmark(ds, cfg, plan, d_sweep=sweep)

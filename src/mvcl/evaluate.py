@@ -1,4 +1,4 @@
-"""Subspace evaluation: projection, fusion, 1-NN, and the benchmark protocol.
+"""Subspace evaluation: 1-NN, the accuracy table and the benchmark protocol.
 
 The benchmark mirrors the usual repeated-split protocol: draw M training
 samples per class, fit on the training split, classify the held-out split
@@ -19,42 +19,22 @@ import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired
-from .loss import EmbeddingSet, ProjectionSet, embeddings
+from .loss import ProjectionSet, embeddings
 from .optim import TrainConfig, config_to_dict, train
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def project_per_view(P: ProjectionSet, ds: MultiViewDataset) -> EmbeddingSet:
-    """Strategy I: separate d x n embeddings P_m^T X^m."""
-    return EmbeddingSet(tuple(embeddings(P, ds)))
-
-
-def _summed(embs) -> np.ndarray:
-    out = embs[0].copy()
-    for e in embs[1:]:
-        out += e
-    return out
-
-
-def fuse(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
-    """Strategy II: the sum of all per-view embeddings."""
-    return _summed(embeddings(P, ds))
 
 
 def knn_classify(
     train_emb: np.ndarray,
     train_labels: np.ndarray,
     test_emb: np.ndarray,
-    k: int = 1,
 ) -> np.ndarray:
     """Label each test column with its Euclidean-nearest training column.
 
-    Only k=1 is supported; distance ties resolve to the lowest training
-    index (argmin picks the first minimum).
+    Distance ties resolve to the lowest training index (argmin picks the
+    first minimum).
     """
-    if k != 1:
-        raise ValueError("only k=1 is supported")
     train_emb = np.asarray(train_emb, dtype=float)
     test_emb = np.asarray(test_emb, dtype=float)
     train_labels = np.asarray(train_labels)
@@ -72,6 +52,25 @@ def knn_classify(
 
 def accuracy_pct(pred: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * float(np.mean(np.asarray(pred) == np.asarray(truth)))
+
+
+def accuracies(
+    P: ProjectionSet, gallery: MultiViewDataset, query: MultiViewDataset
+) -> dict[str, float]:
+    """1-NN accuracy (%) of the labelled ``query`` against the labelled ``gallery``.
+
+    Keys, in order: ``view1`` .. ``viewV`` (strategy I, each view's
+    embeddings alone), ``Mean`` (their average) and ``II`` (the summed
+    embeddings of all views).
+    """
+    g, q = embeddings(P, gallery), embeddings(P, query)
+    accs = {
+        f"view{m + 1}": accuracy_pct(knn_classify(a, gallery.labels, b), query.labels)
+        for m, (a, b) in enumerate(zip(g, q))
+    }
+    accs["Mean"] = float(np.mean(list(accs.values())))
+    accs["II"] = accuracy_pct(knn_classify(sum(g), gallery.labels, sum(q)), query.labels)
+    return accs
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,6 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-def _row_labels(V: int) -> list[str]:
-    return [f"view{m + 1}" for m in range(V)] + ["Mean", "II"]
-
-
 def _one_repeat(
     ds: MultiViewDataset,
     cfg: TrainConfig,
@@ -127,17 +122,8 @@ def _one_repeat(
     test_p, _ = preprocess(test_ds, stats=stats)
     out: dict[int, dict[str, float]] = {}
     for d in sweep:
-        cfg_d = replace(cfg, hp=replace(cfg.hp, d=d))
-        P, _, _ = train(train_p, cfg_d)
-        gallery, query = embeddings(P, train_p), embeddings(P, test_p)
-        accs = {
-            f"view{m + 1}": accuracy_pct(knn_classify(g, train_p.labels, q), test_p.labels)
-            for m, (g, q) in enumerate(zip(gallery, query))
-        }
-        accs["Mean"] = float(np.mean(list(accs.values())))
-        pred = knn_classify(_summed(gallery), train_p.labels, _summed(query))
-        accs["II"] = accuracy_pct(pred, test_p.labels)
-        out[d] = accs
+        P, _, _ = train(train_p, replace(cfg, hp=replace(cfg.hp, d=d)))
+        out[d] = accuracies(P, train_p, test_p)
     return out
 
 
@@ -179,7 +165,7 @@ def benchmark(
         per_repeat = [run(r) for r in range(plan.repeats)]
 
     rows = []
-    for label in _row_labels(ds.V):
+    for label in per_repeat[0][sweep[0]]:
         best = None
         for d in sweep:
             vals = np.array([per_repeat[r][d][label] for r in range(plan.repeats)])

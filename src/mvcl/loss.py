@@ -130,17 +130,6 @@ class RecoverySet:
         return self.mats[0].shape[0]
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """Per-view d x n subspace embeddings."""
-
-    embs: tuple[np.ndarray, ...]
-
-    @property
-    def V(self) -> int:
-        return len(self.embs)
-
-
 def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
     if F.V != ds.V:
         raise DimError(f"{F.V} recovery maps for {ds.V} views")

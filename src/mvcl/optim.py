@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -188,17 +188,52 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
+def _json_type_ok(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field; a bool is no number and a float no int."""
+    if annotation == "bool" or isinstance(value, bool):
+        return annotation == "bool" and isinstance(value, bool)
+    return isinstance(value, int) or (annotation == "float" and isinstance(value, float))
+
+
+def config_section(sec, name: str, cls, *skip: str) -> dict:
+    """The JSON object ``sec``, called ``name``, as keyword arguments of ``cls``.
+
+    Keys outside ``cls``'s fields (less ``skip``) and values whose JSON type
+    does not fit the field's annotation raise ValueError naming them.
+    """
+    if not isinstance(sec, dict):
+        raise ValueError(f"config '{name}' must be an object, got {sec!r}")
+    types = {f.name: f.type for f in fields(cls) if f.name not in skip}
+    extra = set(sec) - set(types)
+    if extra:
+        raise ValueError(f"config '{name}' has unknown keys {sorted(extra)}")
+    for key, value in sec.items():
+        if not _json_type_ok(value, types[key]):
+            raise ValueError(f"config '{name}.{key}' must be {types[key]}, got {value!r}")
+    return sec
+
+
+def config_from_sections(hyper, adam, train, names=("hyper", "adam", "train")) -> TrainConfig:
+    """A TrainConfig from its hyper, adam and train (max_iters, tol, seed) JSON sections.
+
+    ``names`` are the sections' paths in the source, for error messages.
+    Omitted keys take the defaults, except that ``hyper`` must set d.
+    """
+    hyper = config_section(hyper, names[0], HyperParams)
+    if "d" not in hyper:
+        raise ValueError(f"config '{names[0]}' section must set d")
+    adam = config_section(adam, names[1], AdamParams)
+    train = config_section(train, names[2], TrainConfig, "hp", "adam")
+    return TrainConfig(hp=HyperParams(**hyper), adam=AdamParams(**adam), **train)
+
+
 def config_from_dict(obj: dict) -> TrainConfig:
+    """Inverse of ``config_to_dict``, checked like a ``--config`` file."""
     keys = set(obj)
     if keys != {"hp", "adam", "max_iters", "tol", "seed"}:
         raise ValueError(f"unexpected train config keys: {sorted(keys)}")
-    return TrainConfig(
-        hp=HyperParams(**obj["hp"]),
-        adam=AdamParams(**obj["adam"]),
-        max_iters=int(obj["max_iters"]),
-        tol=float(obj["tol"]),
-        seed=int(obj["seed"]),
-    )
+    train = {k: obj[k] for k in ("max_iters", "tol", "seed")}
+    return config_from_sections(obj["hp"], obj["adam"], train, ("config.hp", "config.adam", "config"))
 
 
 def _stats_to_dict(stats: FeatureStats | None) -> dict | None:
@@ -258,11 +293,11 @@ def load_model(path: str | Path):
         F = RecoverySet(tuple(np.array(a, dtype=float) for a in obj["F"]))
         stats = _stats_from_dict(obj["preprocessing"])
         cfg = config_from_dict(obj["config"])
-        dims, d = obj["dims"], obj["d"]
+        recorded = [a.shape[0] for a in P.mats] == list(obj["dims"]) and P.d == obj["d"]
     except KeyError as e:
         raise ValueError(f"{path}: model file lacks key {e}") from None
     except TypeError as e:
         raise ValueError(f"{path}: malformed model file: {e}") from None
-    if [a.shape[0] for a in P.mats] != list(dims) or P.d != d:
+    if not recorded:
         raise DimError("model matrices do not match the recorded dimensions")
     return P, F, stats, cfg

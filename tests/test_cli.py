@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from mvcl import (
+    AdamParams,
     HyperParams,
     ProjectionSet,
     RecoverySet,
     TrainConfig,
+    load_model,
     load_views,
     save_model,
 )
-from mvcl.cli import RunConfig, main
+from mvcl.cli import main
 
 
 def run_cli(*argv):
@@ -228,9 +230,24 @@ def test_eval_zero_projection_collapses_to_first_label(synth_dir, tmp_path, caps
     assert f"II accuracy={first_class_share:.2f}%" in out
 
 
+# A valid model for synth_dir's two views (12 and 10 features) with d = 1.
+MODEL = {
+    "schema_version": 1, "V": 2, "d": 1, "dims": [12, 10],
+    "P": [[[1.0]] * 12, [[1.0]] * 10], "F": [[[1.0] * 12], [[1.0] * 10]],
+    "preprocessing": None,
+    "config": {"hp": {"d": 1}, "adam": {}, "max_iters": 1, "tol": 0.001, "seed": 0},
+}
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"schema_version": 1}, "lacks key 'P'"),
     ({"schema_version": 1, "P": 5}, "malformed model file"),
+    (MODEL | {"dims": 5}, "malformed model file"),
+    (MODEL | {"dims": None}, "malformed model file"),
+    (MODEL | {"config": MODEL["config"] | {"hp": {"d": 2.5}}}, "'config.hp.d' must be int"),
+    (MODEL | {"config": MODEL["config"] | {"max_iters": "7"}}, "'config.max_iters' must be int"),
+    (MODEL | {"config": MODEL["config"] | {"seed": True}}, "'config.seed' must be int"),
+    (MODEL | {"config": MODEL["config"] | {"tol": "0.5"}}, "'config.tol' must be float"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -361,38 +378,51 @@ def test_benchmark_pure_noise_is_at_chance(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig
+# train --config
 # ---------------------------------------------------------------------------
 
-def test_runconfig_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"schema_version": 1, "hyper": {"d": 2}, "bogus": 1})
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"schema_version": 1, "hyper": {"d": 2, "zap": 3}})
+def _train_with_config(synth_dir, tmp_path, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    return run_cli("train", "--views", views, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "m.json"))
 
 
-def test_runconfig_requires_schema_version():
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"hyper": {"d": 2}})
+@pytest.mark.parametrize("cfg", [
+    {"schema_version": 1, "hyper": {"d": 2}, "bogus": 1},
+    {"schema_version": 1, "hyper": {"d": 2, "zap": 3}},
+    {"schema_version": 1, "hyper": {"d": 2}, "split": {"M": 6}},
+    {"schema_version": 1, "hyper": {"d": 2}, "preprocess": {"means": []}},
+], ids=["top-level", "in-hyper", "split", "in-preprocess"])
+def test_config_file_rejects_unknown_keys(synth_dir, tmp_path, capsys, cfg):
+    assert _train_with_config(synth_dir, tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown keys" in err
+    assert not (tmp_path / "m.json").exists()
 
 
-def test_runconfig_roundtrip():
-    rc = RunConfig.from_dict({
+def test_config_file_requires_schema_version(synth_dir, tmp_path, capsys):
+    assert _train_with_config(synth_dir, tmp_path, {"hyper": {"d": 2}}) == 2
+    assert "schema_version" in capsys.readouterr().err
+
+
+def test_config_file_values_reach_the_model(synth_dir, tmp_path):
+    assert _train_with_config(synth_dir, tmp_path, {
         "schema_version": 1,
         "hyper": {"d": 4, "alpha": 0.25, "fea_include_self_view": False},
         "adam": {"gamma": 0.01},
-        "train": {"max_iters": 50, "tol": 1e-4, "seed": 2},
-        "split": {"M": 6, "repeats": 5, "seed": 1},
+        "train": {"max_iters": 5, "tol": 1e-4, "seed": 2},
         "preprocess": {"center": False, "unit_variance": True},
-        "d_sweep": [3, 5],
-    })
-    again = RunConfig.from_dict(rc.to_dict())
-    assert again == rc
-    assert again.train.hp.alpha == 0.25
-    assert again.train.hp.fea_include_self_view is False
-    assert again.split.M == 6
+    }) == 0
+    _, _, stats, cfg = load_model(tmp_path / "m.json")
+    assert cfg == TrainConfig(
+        hp=HyperParams(d=4, alpha=0.25, fea_include_self_view=False),
+        adam=AdamParams(gamma=0.01), max_iters=5, tol=1e-4, seed=2,
+    )
+    assert (stats.center, stats.unit_variance) == (False, True)
 
 
-def test_runconfig_revalidates_invariants():
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"schema_version": 1, "hyper": {"d": 0}})
+def test_config_file_revalidates_invariants(synth_dir, tmp_path, capsys):
+    assert _train_with_config(synth_dir, tmp_path, {"schema_version": 1, "hyper": {"d": 0}}) == 2
+    assert capsys.readouterr().err == "error: d must be >= 1\n"

@@ -16,11 +16,11 @@ from mvcl import (
     SplitPlan,
     SynthSpec,
     TrainConfig,
+    accuracies,
     benchmark,
     default_d_sweep,
-    fuse,
+    embeddings,
     knn_classify,
-    project_per_view,
     report_to_csv,
     report_to_dict,
     synth_generate,
@@ -31,57 +31,77 @@ rng = np.random.default_rng(99)
 
 
 # ---------------------------------------------------------------------------
-# projection / fusion
+# projection / the accuracy table
 # ---------------------------------------------------------------------------
 
 def test_project_coordinate_projection():
     x = rng.standard_normal((5, 7))
     ds = MultiViewDataset((x, x.copy()))
     P = ProjectionSet((np.eye(5)[:, :2], np.eye(5)[:, :2]))
-    embs = project_per_view(P, ds).embs
+    embs = embeddings(P, ds)
     np.testing.assert_array_equal(embs[0], x[:2])
 
 
 def test_project_zero_views():
     ds = MultiViewDataset((np.zeros((4, 3)), np.zeros((3, 3))))
     P = ProjectionSet((rng.standard_normal((4, 2)), rng.standard_normal((3, 2))))
-    for e in project_per_view(P, ds).embs:
+    for e in embeddings(P, ds):
         np.testing.assert_array_equal(e, np.zeros((2, 3)))
 
 
 def test_project_matches_independent_multiply():
     ds, P, _ = random_instance(21, V=2, n=6, dims=(5, 4), d=3)
-    embs = project_per_view(P, ds).embs
+    embs = embeddings(P, ds)
     for m in range(2):
         want = orc.matmul(orc.transpose(orc.mat_from(P.mats[m])), orc.mat_from(ds.views[m]))
         assert np.max(np.abs(embs[m] - np.array(want))) <= 1e-12
 
 
+def _labelled(views, labels):
+    return MultiViewDataset(tuple(views), np.asarray(labels))
+
+
 def test_fuse_with_zero_second_projection():
-    ds, P, _ = random_instance(22, V=2, n=5, dims=(5, 4), d=2)
-    P0 = ProjectionSet((P.mats[0], np.zeros((4, 2))))
-    np.testing.assert_array_equal(fuse(P0, ds), project_per_view(P0, ds).embs[0])
+    # II sums view 1's embeddings with zeros, so it classifies like view 1
+    ds, P, _ = random_instance(22, V=2, n=12, dims=(5, 4), d=2)
+    gallery = _labelled((v[:, :8] for v in ds.views), [0, 1] * 4)
+    query = _labelled((v[:, 8:] for v in ds.views), [0, 0, 1, 1])
+    accs = accuracies(ProjectionSet((P.mats[0], np.zeros((4, 2)))), gallery, query)
+    assert accs["II"] == accs["view1"]
+    assert accs["view2"] == 50.0  # every query ties at zero: the first gallery label
 
 
 def test_fuse_identical_views_is_scaled_projection():
-    x = rng.standard_normal((4, 6))
-    ds = MultiViewDataset((x, x.copy(), x.copy()))
+    # three copies of one view embed to 3x one embedding; 1-NN ignores the scale
+    x = rng.standard_normal((4, 10))
     pm = rng.standard_normal((4, 2))
-    P = ProjectionSet((pm, pm.copy(), pm.copy()))
-    np.testing.assert_allclose(fuse(P, ds), 3.0 * (pm.T @ x), atol=1e-12)
+    labels = rng.integers(0, 3, 10)
+    gallery = _labelled((x[:, :6],) * 3, labels[:6])
+    query = _labelled((x[:, 6:],) * 3, labels[6:])
+    accs = accuracies(ProjectionSet((pm, pm.copy(), pm.copy())), gallery, query)
+    assert accs["II"] == accs["view1"] == accs["view2"] == accs["view3"] == accs["Mean"]
 
 
 def test_fuse_matches_independent_sum():
-    ds, P, _ = random_instance(23, V=3, n=4, dims=(5, 4, 3), d=2)
-    embs = project_per_view(P, ds).embs
-    want = embs[0] + embs[1] + embs[2]
-    assert np.max(np.abs(fuse(P, ds) - want)) <= 1e-12
+    ds, P, _ = random_instance(23, V=3, n=24, dims=(5, 4, 3), d=2)
+    labels = rng.integers(0, 3, 24)
+    gallery = _labelled((v[:, :14] for v in ds.views), labels[:14])
+    query = _labelled((v[:, 14:] for v in ds.views), labels[14:])
+    accs = accuracies(P, gallery, query)
+    assert list(accs) == ["view1", "view2", "view3", "Mean", "II"]
+    fused = [np.array(orc.matmul(orc.transpose(orc.mat_from(P.mats[m])), orc.mat_from(v)))
+             for m, v in enumerate(ds.views)]
+    fused = fused[0] + fused[1] + fused[2]
+    pred = orc.knn1_predict(orc.transpose(orc.mat_from(fused[:, :14])), list(labels[:14]),
+                            orc.transpose(orc.mat_from(fused[:, 14:])))
+    assert accs["II"] == 100.0 * np.mean(np.array(pred) == labels[14:])
+    assert accs["Mean"] == pytest.approx(np.mean([accs[f"view{m}"] for m in (1, 2, 3)]), abs=1e-12)
 
 
 def test_project_shape_mismatch():
     ds, _, _ = random_instance(24, V=2, n=4, dims=(5, 4), d=2)
     with pytest.raises(DimError):
-        project_per_view(ProjectionSet((np.ones((6, 2)), np.ones((4, 2)))), ds)
+        embeddings(ProjectionSet((np.ones((6, 2)), np.ones((4, 2)))), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +147,6 @@ def test_knn_training_subset_is_perfect():
 
 
 def test_knn_errors():
-    with pytest.raises(ValueError):
-        knn_classify(np.ones((2, 3)), np.arange(3), np.ones((2, 1)), k=3)
     with pytest.raises(EmptyTrain):
         knn_classify(np.ones((2, 0)), np.array([], dtype=int), np.ones((2, 1)))
     with pytest.raises(DimError):

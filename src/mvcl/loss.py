@@ -15,10 +15,12 @@ similarities:
 All three share one softmax cross-entropy, ``_xent``, giving the loss and
 its gradient from one pass. The sample and feature heads reach it through
 the cosine kernel :func:`contrast`; the recovery head reassociates its logits
-so that no n x n product runs over the ambient dimension. Every expectation
-is an arithmetic mean over the anchor index and a plain sum over view pairs,
-so loss magnitudes do not grow with n. Accumulation is float64 with a fixed
-left-to-right ordering for reproducibility.
+so that no n x n product runs over the ambient dimension. Each softmax runs
+along one anchor row, so every head is computed ``ROWS`` anchor rows at a
+time: one ROWS x kn logit block is alive, never the whole n x kn matrix.
+Every expectation is an arithmetic mean over the anchor index and a plain
+sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
+float64 with a fixed left-to-right ordering for reproducibility.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ def floored_col_norms(A: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(np.add.reduce(A * A, axis=0)), NORM_FLOOR)
 
 
+# Anchor rows per logit block. A head's memory then grows with n, not n², and
+# the exp, sum and divide passes run over one ROWS x kn block (6 MB at
+# kn = 3000) instead of streaming the whole matrix through memory. n <= ROWS
+# is one block, whose arithmetic is that of one pass over the whole matrix.
+ROWS = 256
+
 # Every logit lies in [-1/sigma, 1/sigma], so up to this inverse temperature
 # exp(S) and its row sums stay finite and nonzero. Only above it is the
 # softmax shifted by the row maximum: the shift costs two passes over the
@@ -166,9 +174,9 @@ def cosine_logits(A: np.ndarray, B: np.ndarray, sigma: float):
 
 
 @lru_cache(maxsize=64)
-def _positive_index(n: int, k: int) -> np.ndarray:
-    """Flat indices into an n x (k*n) matrix of entries (i, b*n + i)."""
-    idx = np.arange(n)[:, None] * (k * n + 1) + np.arange(0, k * n, n)
+def _positive_index(c: int, n: int, k: int, r0: int) -> np.ndarray:
+    """Flat indices into a c x (k*n) block of anchor rows r0.. of entries (i, b*n + r0 + i)."""
+    idx = np.arange(c)[:, None] * (k * n + 1) + np.arange(r0, k * n, n)
     idx.setflags(write=False)
     return idx
 
@@ -187,11 +195,12 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     return G
 
 
-def _xent(S: np.ndarray, sigma: float, k: int, grad: bool):
-    """Softmax cross-entropy of logits S (n x kn) whose row i has its positives at
-    (i, b*n + i); returns (loss, E = n * dloss/dS in place of S, or None)."""
-    n = S.shape[0]
-    pidx = _positive_index(n, k)
+def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
+    """Softmax cross-entropy of a logit block S (c x kn) of anchor rows r0..r0+c-1,
+    row i with its positives at (i, b*n + r0 + i); returns (summed row losses,
+    E = dloss/dS in place of S, or None)."""
+    c, kn = S.shape
+    pidx = _positive_index(c, kn // k, k, r0)
     pos = S.take(pidx)
     if 1.0 / sigma > SHIFT_ABOVE:
         top = S.max(axis=1, keepdims=True)
@@ -206,13 +215,21 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool):
         # exactly 0.
         lpos = np.log(E.take(pidx).sum(axis=1))
     rs = E.sum(axis=1)
-    loss = float(np.log(rs).sum() - lpos.sum()) / n
+    loss = float(np.log(rs).sum() - lpos.sum())
     if not grad:
         return loss, None
     # softmax over the row - softmax over the row's positives
     E /= rs[:, None]
     E.ravel()[pidx] -= np.exp(pos - lpos[:, None])
     return loss, E
+
+
+def _accumulate(acc, part: np.ndarray) -> np.ndarray:
+    """acc + part, in place into acc; the first block's part itself when acc is None."""
+    if acc is None:
+        return part
+    acc += part
+    return acc
 
 
 def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool = False):
@@ -225,18 +242,27 @@ def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool 
 
         log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
 
-    Returns (loss, dA, dB), the gradients None without ``grad``. Only one
-    n x kn matrix is alive at a time.
+    Returns (loss, dA, dB), the gradients None without ``grad``. S is formed
+    ROWS anchors at a time, so only one ROWS x kn block is alive at a time.
     """
-    S, Ah, Bh, na, nb = cosine_logits(A, B, sigma)
-    loss, E = _xent(S, sigma, k, grad)
-    if not grad:
-        return loss, None, None
+    n = A.shape[1]
     # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
-    scale = 1.0 / (S.shape[0] * sigma)
-    dA = _through_norm(Bh @ E.T, Ah, na, scale)
-    dB = _through_norm(Ah @ E, Bh, nb, scale)
-    return loss, dA, dB
+    scale = 1.0 / (n * sigma)
+    total = 0.0
+    dA = np.empty(A.shape) if grad else None
+    GB = None
+    for r0 in range(0, n, ROWS):
+        rows = slice(r0, r0 + ROWS)
+        S, Ah, Bh, na, nb = cosine_logits(A[:, rows], B, sigma)
+        loss, E = _xent(S, sigma, k, grad, r0)
+        total += loss
+        if grad:
+            _through_norm(np.matmul(Bh, E.T, out=dA[:, rows]), Ah, na, scale)
+            GB = _accumulate(GB, Ah @ E)
+        del S, E  # so that the next block is formed after this one is freed
+    if not grad:
+        return total / n, None, None
+    return total / n, dA, _through_norm(GB, Bh, nb, scale)
 
 
 def _unit_columns(X) -> list[np.ndarray]:
@@ -298,23 +324,39 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
 
 
 def _recovery_pair(xh, y, f, sigma: float, grad: bool, with_dF: bool):
-    """One (m, v) term of ``_recovery_head``, apart so that its n x n logits die with it."""
+    """One (m, v) term of ``_recovery_head``, computed ROWS anchors at a time so
+    that one ROWS x n logit block is alive, never the n x n matrix."""
     ny = floored_col_norms(y)
     yh = y / ny
     Z = f.T @ yh
     nz = floored_col_norms(Z)
     U = yh / nz
     W = f @ xh
-    loss, E = _xent(W.T @ (U / sigma), sigma, 1, grad)
+    n = xh.shape[1]
+    c = 1.0 / (n * sigma)
+    Us = U / sigma
+    with_dF = grad and with_dF
+    cU = c * U if with_dF else None
+    total = 0.0
+    WE = dF = None
+    for r0 in range(0, n, ROWS):
+        rows = slice(r0, r0 + ROWS)
+        Wr = W[:, rows]
+        loss, E = _xent(Wr.T @ Us, sigma, 1, grad, r0)
+        total += loss
+        if grad:
+            WE = _accumulate(WE, Wr @ E)
+        if with_dF:
+            dF = _accumulate(dF, (cU @ E.T) @ xh[:, rows].T)
+        del E  # so that the next block is formed after this one is freed
     if not grad:
-        return loss, None, None
-    c = 1.0 / (xh.shape[1] * sigma)
-    WE = W @ E
+        return total / n, None, None
     r = (U * WE).sum(axis=0) * (nz > NORM_FLOOR)
     Zh = Z / nz
     dY = (WE - (f @ Zh) * r) * (c / (nz * ny))
-    dF = (c * U @ E.T) @ xh.T - (c * r * U) @ Zh.T if with_dF else None
-    return loss, dY, dF
+    if with_dF:
+        dF -= (c * r * U) @ Zh.T
+    return total / n, dY, dF
 
 
 def _recovery_head(Xh, Y, Fmats, sigma: float, grad: bool = False, with_dF: bool = True):
@@ -325,8 +367,10 @@ def _recovery_head(Xh, Y, Fmats, sigma: float, grad: bool = False, with_dF: bool
     Reassociated, no n x n product runs over D: with yh = Y^v / ny, Z = F_m^T yh,
     U = yh / nz, W = F_m Xh, c = 1/(n sigma), E = n * dloss/dS, r = colsum(U * W E)
     (0 where nz is floored), S = W^T U / sigma, dY = (W E - F_m (Z/nz) r) c / (nz ny)
-    and dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Y is normalised before F_m: at
-    d = 1, yh is exactly +-1, so the loss is bit-constant in P, as the objective is.
+    and dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Each pair runs over blocks of ROWS
+    rows of S and sums the blocks' shares of W E and of (c U) E^T Xh^T, so one
+    ROWS x n block is alive, never S. Y is normalised before F_m: at d = 1, yh is
+    exactly +-1, so the loss is bit-constant in P, as the objective is.
     """
     total = 0.0
     dY = [np.zeros_like(y) for y in Y] if grad else None

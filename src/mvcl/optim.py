@@ -247,14 +247,35 @@ def _stats_to_dict(stats: FeatureStats | None) -> dict | None:
     }
 
 
-def _stats_from_dict(obj: dict | None) -> FeatureStats | None:
+def _stats_from_dict(obj, dims: list[int]) -> FeatureStats | None:
+    """A model's preprocessing record, checked against the views' feature counts ``dims``."""
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"model 'preprocessing' must be an object or null, got {obj!r}")
+    extra = set(obj) - {"center", "unit_variance", "means", "stds"}
+    if extra:
+        raise ValueError(f"model 'preprocessing' has unknown keys {sorted(extra)}")
+
+    def per_view(key):
+        rows = obj[key]
+        if not (
+            isinstance(rows, list)
+            and len(rows) == len(dims)
+            and all(isinstance(r, list) and len(r) == D for r, D in zip(rows, dims))
+            and all(_json_type_ok(x, "float") for r in rows for x in r)
+        ):
+            raise ValueError(f"model 'preprocessing.{key}' must be {len(dims)} lists of numbers, of lengths {dims}")
+        return tuple(np.array(r, dtype=float) for r in rows)
+
+    for key in ("center", "unit_variance"):
+        if not isinstance(obj[key], bool):
+            raise ValueError(f"model 'preprocessing.{key}' must be bool, got {obj[key]!r}")
     return FeatureStats(
-        means=tuple(np.array(m, dtype=float) for m in obj["means"]),
-        stds=None if obj["stds"] is None else tuple(np.array(s, dtype=float) for s in obj["stds"]),
-        center=bool(obj["center"]),
-        unit_variance=bool(obj["unit_variance"]),
+        means=per_view("means"),
+        stds=None if obj["stds"] is None else per_view("stds"),
+        center=obj["center"],
+        unit_variance=obj["unit_variance"],
     )
 
 
@@ -291,7 +312,7 @@ def load_model(path: str | Path):
     try:
         P = ProjectionSet(tuple(np.array(a, dtype=float) for a in obj["P"]))
         F = RecoverySet(tuple(np.array(a, dtype=float) for a in obj["F"]))
-        stats = _stats_from_dict(obj["preprocessing"])
+        stats = _stats_from_dict(obj["preprocessing"], [a.shape[0] for a in P.mats])
         cfg = config_from_dict(obj["config"])
         recorded = [a.shape[0] for a in P.mats] == list(obj["dims"]) and P.d == obj["d"]
     except KeyError as e:

@@ -237,6 +237,13 @@ MODEL = {
     "preprocessing": None,
     "config": {"hp": {"d": 1}, "adam": {}, "max_iters": 1, "tol": 0.001, "seed": 0},
 }
+# A valid preprocessing record for MODEL.
+STATS = {"center": True, "unit_variance": True, "means": [[0.0] * 12, [0] * 10],
+         "stds": [[1.0] * 12, [2.0] * 10]}
+
+
+def _with_stats(**changes):
+    return MODEL | {"preprocessing": STATS | changes}
 
 
 @pytest.mark.parametrize("payload,message", [
@@ -248,6 +255,19 @@ MODEL = {
     (MODEL | {"config": MODEL["config"] | {"max_iters": "7"}}, "'config.max_iters' must be int"),
     (MODEL | {"config": MODEL["config"] | {"seed": True}}, "'config.seed' must be int"),
     (MODEL | {"config": MODEL["config"] | {"tol": "0.5"}}, "'config.tol' must be float"),
+    (MODEL | {"preprocessing": "abc"}, "'preprocessing' must be an object or null"),
+    (_with_stats(scale=2.0), "'preprocessing' has unknown keys ['scale']"),
+    (MODEL | {"preprocessing": {"center": True}}, "lacks key 'unit_variance'"),
+    (_with_stats(center="no"), "'preprocessing.center' must be bool, got 'no'"),
+    (_with_stats(unit_variance=[]), "'preprocessing.unit_variance' must be bool, got []"),
+    (_with_stats(center=1), "'preprocessing.center' must be bool, got 1"),
+    (_with_stats(means="abc"), "'preprocessing.means' must be 2 lists of numbers, of lengths [12, 10]"),
+    (_with_stats(means=[[0.0] * 12]), "'preprocessing.means' must be 2 lists"),
+    (_with_stats(means=[[0.0] * 12, [0.0] * 9]), "'preprocessing.means' must be 2 lists"),
+    (_with_stats(means=[[0.0] * 12, ["0"] * 10]), "'preprocessing.means' must be 2 lists"),
+    (_with_stats(means=[[0.0] * 12, [True] * 10]), "'preprocessing.means' must be 2 lists"),
+    (_with_stats(stds=[[1.0] * 12, None]), "'preprocessing.stds' must be 2 lists"),
+    (_with_stats(stds=5), "'preprocessing.stds' must be 2 lists"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -258,6 +278,18 @@ def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, mes
                    "--train-views", views, "--train-labels", labels) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_eval_model_with_preprocessing_record(synth_dir, tmp_path, capsys):
+    # STATS itself loads (an int is a number), with or without stds.
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    labels = str(synth_dir / "labels.csv")
+    for payload in (_with_stats(), _with_stats(unit_variance=False, stds=None)):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert run_cli("eval", "--model", str(model), "--views", views, "--labels", labels,
+                       "--train-views", views, "--train-labels", labels) == 0
+    assert "accuracy=" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mvcl import (
     total_loss,
 )
 from mvcl.grad import random_instance
-from mvcl.loss import _recovery_head, _unit_columns, contrast, cosine_logits
+from mvcl.loss import ROWS, _recovery_head, _sample_head, _unit_columns, contrast, cosine_logits
 
 SIGMA = 0.1
 
@@ -180,6 +180,69 @@ def test_recovery_head_keeps_one_logit_matrix_alive():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# heads computed in blocks of ROWS anchor rows
+# ---------------------------------------------------------------------------
+
+def _head_outputs(head, n, sigma):
+    """(loss, all gradients flattened) of one head on seeded inputs with n samples."""
+    X, Y, Fmats = _recovery_inputs(50, 3, n=n, D=12, d=4)
+    Xh = _unit_columns(X[:2])
+    loss, *grads = {
+        "sample V=2": lambda: _sample_head(Y[:2], sigma, grad=True),
+        "sample V=3": lambda: _sample_head(Y, sigma, grad=True),
+        "recovery": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True),
+        "recovery without dF": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True, with_dF=False),
+    }[head]()
+    return np.array([loss]), np.concatenate([g.ravel() for gs in grads if gs is not None for g in gs])
+
+
+@pytest.mark.parametrize("head", ["sample V=2", "sample V=3", "recovery", "recovery without dF"])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
+@pytest.mark.parametrize("n", [ROWS + 1, 2 * ROWS + 37])
+def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
+    blocks = _head_outputs(head, n, sigma)
+    monkeypatch.setattr("mvcl.loss.ROWS", n)
+    whole = _head_outputs(head, n, sigma)
+    for got, want in zip(blocks, whole):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n,blocks", [(1, 1), (ROWS, 1), (ROWS + 1, 2), (2 * ROWS + 37, 3)])
+@pytest.mark.parametrize("grad", [False, True])
+def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
+    anchors = []
+
+    def counted(A, B, sigma):
+        anchors.append(A.shape[1])
+        return cosine_logits(A, B, sigma)
+
+    monkeypatch.setattr("mvcl.loss.cosine_logits", counted)
+    rng = np.random.default_rng(n)
+    contrast(rng.standard_normal((3, n)), rng.standard_normal((3, 2 * n)), SIGMA, k=2, grad=grad)
+    assert len(anchors) == blocks and sum(anchors) == n
+
+
+@pytest.mark.parametrize("head", ["sample", "recovery"])
+def test_heads_keep_one_row_block_alive(monkeypatch, head):
+    n, rows = 1500, 256
+    monkeypatch.setattr("mvcl.loss.ROWS", rows)
+    X, Y, Fmats = _recovery_inputs(42, 3, n=n, D=20, d=4)
+    Xh = _unit_columns(X)
+    tracemalloc.start()
+    try:
+        if head == "sample":
+            k = 2  # three views: each anchor row spans the other two
+            _sample_head(Y, 0.1, grad=True)
+        else:
+            k = 1
+            _recovery_head(Xh, Y, Fmats, 0.1, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows * k * n * 8
 
 
 # ---------------------------------------------------------------------------

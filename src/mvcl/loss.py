@@ -12,12 +12,12 @@ similarities:
   recovery level  anchors are original samples, candidates are cross-view
                   embeddings mapped back to the anchor view's ambient space.
 
-All three share one softmax cross-entropy, ``_xent``, giving the loss and
-its gradient from one pass. The sample and feature heads reach it through
-the cosine kernel :func:`contrast`; the recovery head reassociates its logits
-so that no n x n product runs over the ambient dimension. Each softmax runs
-along one anchor row, so every head is computed ``ROWS`` anchor rows at a
-time: one ROWS x kn logit block is alive, never the whole n x kn matrix.
+The sample and recovery heads share one softmax cross-entropy, ``_xent``,
+giving the loss and the unnormalised gradient from one pass: the sample head
+through the cosine kernel :func:`contrast`, the recovery head with its logits
+reassociated so that no n x n product runs over the ambient dimension. The
+feature head contrasts all view pairs in one Gram block. Every head runs
+``ROWS`` anchor rows at a time: one ROWS x kn logit block is alive, not n x kn.
 Every expectation is an arithmetic mean over the anchor index and a plain
 sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
 float64 with a fixed left-to-right ordering for reproducibility.
@@ -175,8 +175,8 @@ def cosine_logits(A: np.ndarray, B: np.ndarray, sigma: float):
 
 @lru_cache(maxsize=64)
 def _positive_index(c: int, n: int, k: int, r0: int) -> np.ndarray:
-    """Flat indices into a c x (k*n) block of anchor rows r0.. of entries (i, b*n + r0 + i)."""
-    idx = np.arange(c)[:, None] * (k * n + 1) + np.arange(r0, k * n, n)
+    """Flat indices into a c x (k*n) block of anchor rows r0.. of entries (i, b*n + (r0 + i) % n)."""
+    idx = np.arange(c)[:, None] * (k * n) + np.arange(0, k * n, n) + (np.arange(r0, r0 + c) % n)[:, None]
     idx.setflags(write=False)
     return idx
 
@@ -186,7 +186,7 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
 
     Removes each column's component along Xh, except for columns at the norm
     floor (the floor is constant there), then multiplies each column by
-    scale / nx. In place.
+    scale / nx; ``scale`` is a number or one per column. In place.
     """
     radial = (Xh * G).sum(axis=0)
     radial *= nx > NORM_FLOOR
@@ -196,9 +196,9 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
 
 
 def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
-    """Softmax cross-entropy of a logit block S (c x kn) of anchor rows r0..r0+c-1,
-    row i with its positives at (i, b*n + r0 + i); returns (summed row losses,
-    E = dloss/dS in place of S, or None)."""
+    """Softmax cross-entropy of a logit block S (c x kn) of anchor rows r0..r0+c-1, row i with its
+    positives at (i, b*n + r0 + i); returns (summed row losses, E = rs * dloss/dS in place of S, 1/rs),
+    or None for both without ``grad``: callers scale small factors by 1/rs, not the block by row sums rs."""
     c, kn = S.shape
     pidx = _positive_index(c, kn // k, k, r0)
     pos = S.take(pidx)
@@ -217,11 +217,10 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
     rs = E.sum(axis=1)
     loss = float(np.log(rs).sum() - lpos.sum())
     if not grad:
-        return loss, None
-    # softmax over the row - softmax over the row's positives
-    E /= rs[:, None]
-    E.ravel()[pidx] -= np.exp(pos - lpos[:, None])
-    return loss, E
+        return loss, None, None
+    # rs * (softmax over the row - softmax over the row's positives)
+    E.ravel()[pidx] -= np.exp(pos - lpos[:, None]) * rs[:, None]
+    return loss, E, 1.0 / rs
 
 
 def _accumulate(acc, part: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def _accumulate(acc, part: np.ndarray) -> np.ndarray:
 
 
 def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool = False):
-    """Softmax cross-entropy over temperature-scaled cosines, the kernel of the P-only heads.
+    """Softmax cross-entropy over temperature-scaled cosines, the sample head's kernel.
 
     The anchors are the n columns of A; the candidates are the k*n columns of
     B, read as k side-by-side blocks of n, and the positives of anchor i are
@@ -254,11 +253,11 @@ def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool 
     for r0 in range(0, n, ROWS):
         rows = slice(r0, r0 + ROWS)
         S, Ah, Bh, na, nb = cosine_logits(A[:, rows], B, sigma)
-        loss, E = _xent(S, sigma, k, grad, r0)
+        loss, E, inv = _xent(S, sigma, k, grad, r0)
         total += loss
         if grad:
-            _through_norm(np.matmul(Bh, E.T, out=dA[:, rows]), Ah, na, scale)
-            GB = _accumulate(GB, Ah @ E)
+            _through_norm(np.matmul(Bh, E.T, out=dA[:, rows]), Ah, na, scale * inv)
+            GB = _accumulate(GB, (Ah * inv) @ E)
         del S, E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None
@@ -306,21 +305,45 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
     """Feature-level loss of the embeddings Y, and d/dY with ``grad`` (else None).
 
     The contrasted vectors are the rows of Y: row k of view m against all d
-    rows of view v, with the same row index as the positive.
+    rows of view v, with the same row index as the positive. The V*d rows, as
+    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma
+    read as (V, d, V, d): a softmax per row of each (m, v) block, positive on its
+    diagonal, m = v blocks weighted 0 without ``include_self_view``, and dQh =
+    Qh (dG + dG^T) / sigma. The positive's log is taken from exp(G), as in ``_xent``.
     """
-    V = len(Y)
+    V, d = len(Y), Y[0].shape[0]
+    Q = np.vstack(Y).T
+    nq = floored_col_norms(Q)
+    Qh = Q / nq
+    Qs = Qh / sigma
     total = 0.0
-    dY = [np.zeros_like(y) for y in Y] if grad else None
-    for m in range(V):
-        for v in range(V):
-            if v == m and not include_self_view:
-                continue
-            loss, dA, dB = contrast(Y[m].T, Y[v].T, sigma, grad=grad)
-            total += loss
-            if grad:
-                dY[m] += dA.T
-                dY[v] += dB.T
-    return total, dY
+    dQ = np.zeros(Q.shape) if grad else None
+    for r0 in range(0, V * d, ROWS):
+        rows = slice(r0, r0 + ROWS)
+        G = Qh[:, rows].T @ Qs
+        E = G.reshape(-1, V, d)
+        pidx = _positive_index(len(E), d, V, r0)
+        if 1.0 / sigma > SHIFT_ABOVE:
+            E -= E.max(axis=2, keepdims=True)
+            lpos = G.take(pidx)
+            np.exp(G, out=G)
+        else:
+            np.exp(G, out=G)
+            lpos = np.log(G.take(pidx))
+        rs = E.sum(axis=2)
+        part, inv = np.log(rs) - lpos, 1.0 / rs
+        if not include_self_view:
+            own = (np.arange(len(E)), np.arange(r0, r0 + len(E)) // d)
+            part[own] = inv[own] = 0.0
+        total += float(part.sum())
+        if grad:
+            # one positive per row and block: the softmax over it is 1
+            G.ravel()[pidx] -= rs
+            E *= inv[:, :, None]
+            dQ[:, rows] += Qh @ G.T
+            dQ += Qh[:, rows] @ G
+        del G, E  # so that the next block is formed after this one is freed
+    return total / d, np.split(_through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T, V) if grad else None
 
 
 def _recovery_pair(xh, y, f, sigma: float, grad: bool, with_dF: bool):
@@ -342,12 +365,12 @@ def _recovery_pair(xh, y, f, sigma: float, grad: bool, with_dF: bool):
     for r0 in range(0, n, ROWS):
         rows = slice(r0, r0 + ROWS)
         Wr = W[:, rows]
-        loss, E = _xent(Wr.T @ Us, sigma, 1, grad, r0)
+        loss, E, inv = _xent(Wr.T @ Us, sigma, 1, grad, r0)
         total += loss
         if grad:
-            WE = _accumulate(WE, Wr @ E)
+            WE = _accumulate(WE, (Wr * inv) @ E)
         if with_dF:
-            dF = _accumulate(dF, (cU @ E.T) @ xh[:, rows].T)
+            dF = _accumulate(dF, ((cU @ E.T) * inv) @ xh[:, rows].T)
         del E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None

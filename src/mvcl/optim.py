@@ -134,11 +134,12 @@ def train(
     hp, X, Xh = cfg.hp, ds.views, _unit_columns(ds.views)
     P, F = init_params(ds.dims, hp.d, cfg.seed)
     pmats, fmats = list(P.mats), list(F.mats)
+    fit_f = hp.beta != 0.0  # else F is out of the objective, and Adam would not move it
 
     def full_pass(pmats, fmats, grad=True):
         Y = [p.T @ x for p, x in zip(pmats, X)]
         value, dYp = _p_heads(Y, hp, grad)
-        rvalue, _, dF = _f_head(Xh, Y, fmats, hp, grad)
+        rvalue, _, dF = _f_head(Xh, Y, fmats, hp, grad and fit_f)
         return value + rvalue, Y, dYp, dF
 
     loss, Y, dYp, dF = full_pass(pmats, fmats)
@@ -154,11 +155,12 @@ def train(
 
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        for m in range(ds.V):
-            f_states[m], fmats[m] = adam_step(f_states[m], dF[m], fmats[m], cfg.adam)
-
-        _, dYr, _ = _f_head(Xh, Y, fmats, hp, grad=True, with_dF=False)
-        dP = np.vstack([x @ (a + b).T for x, a, b in zip(X, dYp, dYr)])
+        if fit_f:
+            for m in range(ds.V):
+                f_states[m], fmats[m] = adam_step(f_states[m], dF[m], fmats[m], cfg.adam)
+            _, dYr, _ = _f_head(Xh, Y, fmats, hp, grad=True, with_dF=False)
+            dYp = [a + b for a, b in zip(dYp, dYr)]
+        dP = np.vstack([x @ a.T for x, a in zip(X, dYp)])
         p_state, pstack = adam_step(p_state, dP, np.vstack(pmats), cfg.adam)
         pmats = np.split(pstack, splits, axis=0)
 

@@ -18,7 +18,15 @@ from mvcl import (
     total_loss,
 )
 from mvcl.grad import random_instance
-from mvcl.loss import ROWS, _recovery_head, _sample_head, _unit_columns, contrast, cosine_logits
+from mvcl.loss import (
+    ROWS,
+    _feature_head,
+    _recovery_head,
+    _sample_head,
+    _unit_columns,
+    contrast,
+    cosine_logits,
+)
 
 SIGMA = 0.1
 
@@ -183,6 +191,48 @@ def test_recovery_head_keeps_one_logit_matrix_alive():
 
 
 # ---------------------------------------------------------------------------
+# the feature head as one Gram block
+# ---------------------------------------------------------------------------
+
+def _per_pair_feature(Y, sigma, include_self_view):
+    """The head as written: one contrast of the rows of Y^m against the rows of Y^v per view pair."""
+    total, dY = 0.0, [np.zeros_like(y) for y in Y]
+    for m, v in itertools.product(range(len(Y)), repeat=2):
+        if v == m and not include_self_view:
+            continue
+        loss, dA, dB = contrast(Y[m].T, Y[v].T, sigma, grad=True)
+        total += loss
+        dY[m] += dA.T
+        dY[v] += dB.T
+    return total, dY
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("include_self_view", [True, False])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
+def test_feature_head_matches_per_pair_contrasts(V, include_self_view, sigma):
+    Y = _recovery_inputs(60 + V, V, n=40, D=1, d=6)[1]
+    loss, dY = _feature_head(Y, sigma, include_self_view, grad=True)
+    want_loss, want_dY = _per_pair_feature(Y, sigma, include_self_view)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(dY, want_dY):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert _feature_head(Y, sigma, include_self_view)[0] == loss
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("include_self_view", [True, False])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_feature_head_at_d1_is_exactly_zero(V, include_self_view, sigma):
+    # One row per view: every block is its own positive, so loss and gradient
+    # are 0 exactly, not to rounding (c1's flat seed-7 instance needs this).
+    Y = _recovery_inputs(70 + V, V, n=25, D=1, d=1)[1]
+    loss, dY = _feature_head(Y, sigma, include_self_view, grad=True)
+    assert loss == 0.0
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in dY)
+
+
+# ---------------------------------------------------------------------------
 # heads computed in blocks of ROWS anchor rows
 # ---------------------------------------------------------------------------
 
@@ -195,11 +245,16 @@ def _head_outputs(head, n, sigma):
         "sample V=3": lambda: _sample_head(Y, sigma, grad=True),
         "recovery": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True),
         "recovery without dF": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True, with_dF=False),
+        # n feature rows of 4 samples in each view, so V*n anchor rows
+        "feature": lambda: _feature_head([y.T for y in Y[:2]], sigma, True, grad=True),
+        "feature without self view": lambda: _feature_head([y.T for y in Y], sigma, False, grad=True),
     }[head]()
     return np.array([loss]), np.concatenate([g.ravel() for gs in grads if gs is not None for g in gs])
 
 
-@pytest.mark.parametrize("head", ["sample V=2", "sample V=3", "recovery", "recovery without dF"])
+@pytest.mark.parametrize(
+    "head", ["sample V=2", "sample V=3", "recovery", "recovery without dF", "feature", "feature without self view"]
+)
 @pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
 @pytest.mark.parametrize("n", [ROWS + 1, 2 * ROWS + 37])
 def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
@@ -225,7 +280,7 @@ def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
     assert len(anchors) == blocks and sum(anchors) == n
 
 
-@pytest.mark.parametrize("head", ["sample", "recovery"])
+@pytest.mark.parametrize("head", ["sample", "recovery", "feature"])
 def test_heads_keep_one_row_block_alive(monkeypatch, head):
     n, rows = 1500, 256
     monkeypatch.setattr("mvcl.loss.ROWS", rows)
@@ -236,9 +291,12 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
         if head == "sample":
             k = 2  # three views: each anchor row spans the other two
             _sample_head(Y, 0.1, grad=True)
-        else:
+        elif head == "recovery":
             k = 1
             _recovery_head(Xh, Y, Fmats, 0.1, grad=True)
+        else:
+            k = 3  # n feature rows of 4 samples in each of three views: blocks of rows x 3n
+            _feature_head([y.T for y in Y], 0.1, True, grad=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -233,6 +233,27 @@ def test_train_stacked_adam_matches_per_view_adam(dims, weights):
         assert np.array_equal(a, b)
 
 
+def test_zero_beta_leaves_recovery_maps_at_their_start():
+    # With beta = 0 F is out of the objective: its Adam steps are skipped, and
+    # F is the initial F bit for bit, as zero-gradient Adam steps leave it.
+    ds = _train_instance(seed=3)
+    hp = HyperParams(d=2, beta=0.0)
+    cfg = TrainConfig(hp=hp, max_iters=5, tol=1e-300)
+    P, F, rep = train(ds, cfg)
+    p0, f0 = init_params(ds.dims, hp.d, cfg.seed)
+    assert all(np.array_equal(a, b) for a, b in zip(F.mats, f0.mats))
+    # the losses are those of P's Adam steps alone, against the initial F
+    pm, ps = list(p0.mats), [AdamState.zeros(a.shape) for a in p0.mats]
+    losses = [total_loss(p0, f0, ds, hp)]
+    for _ in range(rep.iterations):
+        dP = grad_wrt_P(ProjectionSet(tuple(pm)), f0, ds, hp)
+        for m in range(ds.V):
+            ps[m], pm[m] = adam_step(ps[m], dP[m], pm[m], cfg.adam)
+        losses.append(total_loss(ProjectionSet(tuple(pm)), f0, ds, hp))
+    assert rep.losses == tuple(losses)
+    assert all(np.array_equal(a, b) for a, b in zip(P.mats, pm))
+
+
 def test_train_smoke_500_iters_stays_finite():
     ds = _train_instance(seed=1)
     P, F, rep = train(ds, TrainConfig(hp=HyperParams(d=2), max_iters=500, tol=1e-9))

@@ -172,6 +172,8 @@ class SynthSpec:
             raise InvalidSpec(f"signal blocks use {used} dims, exceeding a view dimension")
         if not self.noise_std > 0:
             raise InvalidSpec("noise_std must be > 0")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
 # Class-mean scale. Means are drawn once from N(0, CLASS_MEAN_SCALE^2) and do

@@ -19,11 +19,9 @@ from .loss import (  # noqa: F401  (cosine_logits stays importable from here)
     ProjectionSet,
     RecoverySet,
     cosine_logits,
-    embeddings,
-    _check_recovery,
     _f_head,
     _p_heads,
-    _unit_columns,
+    _point,
 )
 
 
@@ -35,10 +33,9 @@ def grad_wrt_P(
     Every head reaches P only through the embeddings Y^m = P_m^T X^m, so the
     per-view result is X^m times the accumulated embedding gradient.
     """
-    Y = embeddings(P, ds)
-    _check_recovery(F, P.d, ds)
-    _, dY = _p_heads(Y, hp, grad=True)
-    _, dYr, _ = _f_head(_unit_columns(ds.views), Y, F.mats, hp, grad=True, with_dF=False)
+    Y, Yh, ny, Xh, W = _point(P, F, ds)
+    _, dY = _p_heads(Y, Yh, ny, hp, grad=True)
+    dYr = _f_head(Xh, W, F.mats, Yh, ny, hp, want_dY=True)[1]
     return tuple(x @ (a + b).T for x, a, b in zip(ds.views, dY, dYr))
 
 
@@ -46,9 +43,8 @@ def grad_wrt_F(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> tuple[np.ndarray, ...]:
     """beta * d(recovery-level loss)/dF_m; zero matrices when beta is 0."""
-    Y = embeddings(P, ds)
-    _check_recovery(F, P.d, ds)
-    return tuple(_f_head(_unit_columns(ds.views), Y, F.mats, hp, grad=True)[2])
+    _, Yh, ny, Xh, W = _point(P, F, ds)
+    return tuple(np.split(_f_head(Xh, W, F.mats, Yh, ny, hp, want_dF=True)[2], np.cumsum(ds.dims)[:-1], axis=1))
 
 
 def finite_diff_check(
@@ -94,6 +90,8 @@ def random_instance(
     """Seeded random (dataset, P, F) triple for gradient certification."""
     if len(dims) != V:
         raise DimError(f"{len(dims)} dims for V={V}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     views = tuple(rng.standard_normal((D, n)) for D in dims)
     P = ProjectionSet(tuple(rng.standard_normal((D, d)) for D in dims))

@@ -13,11 +13,12 @@ similarities:
                   embeddings mapped back to the anchor view's ambient space.
 
 The sample and recovery heads share one softmax cross-entropy, ``_xent``,
-giving the loss and the unnormalised gradient from one pass: the sample head
-through the cosine kernel :func:`contrast`, the recovery head with its logits
-reassociated so that no n x n product runs over the ambient dimension. The
-feature head contrasts all view pairs in one Gram block. Every head runs
-``ROWS`` anchor rows at a time: one ROWS x kn logit block is alive, not n x kn.
+giving the loss and the unnormalised gradient from one pass. Both read each
+point's unit embeddings Yh, formed once (``_unit_columns``); the recovery head's
+logits are reassociated so that no n x n product runs over the ambient dimension,
+its anchors W_m = F_m Xh^m formed once per F (``_recovery_maps``). The feature
+head contrasts all view pairs in one Gram block. Every head runs ``ROWS`` anchor
+rows at a time: one ROWS x kn logit block is alive, not n x kn.
 Every expectation is an arithmetic mean over the anchor index and a plain
 sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
 float64 with a fixed left-to-right ordering for reproducibility.
@@ -159,18 +160,13 @@ ROWS = 256
 SHIFT_ABOVE = 600.0
 
 
-def cosine_logits(A: np.ndarray, B: np.ndarray, sigma: float):
-    """All-pairs temperature-scaled cosine between columns of A and of B.
+def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float) -> np.ndarray:
+    """All-pairs temperature-scaled cosines of unit columns: S = Ah^T (Bh / sigma).
 
-    Returns (S, Ah, Bh, na, nb): na, nb are the floored column norms,
-    Ah = A / na and Bh = B / nb the normalised columns, and
-    S[i, j] = (a_i . b_j) / (na_i * nb_j * sigma).
+    One logit block of the sample head: its callers normalise every column once,
+    by :func:`floored_col_norms`, and pass the same unit columns to every block.
     """
-    na = floored_col_norms(A)
-    nb = floored_col_norms(B)
-    Ah = A / na
-    Bh = B / nb
-    return Ah.T @ (Bh / sigma), Ah, Bh, na, nb
+    return Ah.T @ (Bh / sigma)
 
 
 @lru_cache(maxsize=64)
@@ -224,11 +220,31 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
 
 
 def _accumulate(acc, part: np.ndarray) -> np.ndarray:
-    """acc + part, in place into acc; the first block's part itself when acc is None."""
+    """acc + part, in place into acc; the first part itself when acc is None."""
     if acc is None:
         return part
     acc += part
     return acc
+
+
+def _unit_contrast(Ah: np.ndarray, Bh: np.ndarray, sigma: float, k: int, grad: bool):
+    """``contrast`` on unit columns Ah, Bh: (loss, d/dAh, d/dBh), not pulled back through the norms."""
+    n = Ah.shape[1]
+    # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
+    scale = 1.0 / (n * sigma)
+    total, dB = 0.0, None
+    dA = np.empty(Ah.shape) if grad else None
+    for r0 in range(0, n, ROWS):
+        rows = slice(r0, r0 + ROWS)
+        loss, E, inv = _xent(cosine_logits(Ah[:, rows], Bh, sigma), sigma, k, grad, r0)
+        total += loss
+        if grad:
+            inv *= scale
+            np.matmul(Bh, E.T, out=dA[:, rows])
+            dA[:, rows] *= inv
+            dB = _accumulate(dB, (Ah[:, rows] * inv) @ E)
+        del E  # so that the next block is formed after this one is freed
+    return total / n, dA, dB
 
 
 def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool = False):
@@ -236,37 +252,31 @@ def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool 
 
     The anchors are the n columns of A; the candidates are the k*n columns of
     B, read as k side-by-side blocks of n, and the positives of anchor i are
-    column i of every block. With S = cosine_logits(A, B, sigma) the loss is
-    the mean over i of
+    column i of every block. With S = cosine_logits(Ah, Bh, sigma) on the unit
+    columns the loss is the mean over i of
 
         log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
 
-    Returns (loss, dA, dB), the gradients None without ``grad``. S is formed
-    ROWS anchors at a time, so only one ROWS x kn block is alive at a time.
+    Returns (loss, dA, dB), the gradients None without ``grad``. A and B are normalised
+    once, and S is formed ROWS anchors at a time: one ROWS x kn block is alive.
     """
-    n = A.shape[1]
-    # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
-    scale = 1.0 / (n * sigma)
-    total = 0.0
-    dA = np.empty(A.shape) if grad else None
-    GB = None
-    for r0 in range(0, n, ROWS):
-        rows = slice(r0, r0 + ROWS)
-        S, Ah, Bh, na, nb = cosine_logits(A[:, rows], B, sigma)
-        loss, E, inv = _xent(S, sigma, k, grad, r0)
-        total += loss
-        if grad:
-            _through_norm(np.matmul(Bh, E.T, out=dA[:, rows]), Ah, na, scale * inv)
-            GB = _accumulate(GB, (Ah * inv) @ E)
-        del S, E  # so that the next block is formed after this one is freed
+    na, nb = floored_col_norms(A), floored_col_norms(B)
+    Ah, Bh = A / na, B / nb
+    loss, dA, dB = _unit_contrast(Ah, Bh, sigma, k, grad)
     if not grad:
-        return total / n, None, None
-    return total / n, dA, _through_norm(GB, Bh, nb, scale)
+        return loss, None, None
+    return loss, _through_norm(dA, Ah, na, 1.0), _through_norm(dB, Bh, nb, 1.0)
 
 
-def _unit_columns(X) -> list[np.ndarray]:
-    """X^m / ||x_i^m|| (floored) for every view: the recovery head's anchors."""
-    return [x / floored_col_norms(x) for x in X]
+def _unit_columns(X) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(X^m / ||x_i^m||, ||x_i^m||) for every view, norms floored: each point's unit columns, formed once."""
+    norms = [floored_col_norms(x) for x in X]
+    return [x / nx for x, nx in zip(X, norms)], norms
+
+
+def _recovery_maps(Fmats, Xh) -> list[np.ndarray]:
+    """W_m = F_m Xh^m for every view: the recovery head's anchors, a function of F alone."""
+    return [f @ xh for f, xh in zip(Fmats, Xh)]
 
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
@@ -279,26 +289,34 @@ def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
     return [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
 
 
-def _sample_head(Y: list[np.ndarray], sigma: float, grad: bool = False):
-    """Sample-level loss of the embeddings Y, and d/dY with ``grad`` (else None).
+def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
+    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, Xh, W)."""
+    Y = embeddings(P, ds)
+    _check_recovery(F, P.d, ds)
+    Xh = _unit_columns(ds.views)[0]
+    return (Y, *_unit_columns(Y), Xh, _recovery_maps(F.mats, Xh))
+
+
+def _sample_head(Yh: list[np.ndarray], ny: list[np.ndarray], sigma: float, grad: bool = False):
+    """Sample-level loss at the unit embeddings Yh (norms ny), and d/dY with ``grad`` (else None).
 
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
-    there are negatives, and same-view pairs never enter.
+    there are negatives, and same-view pairs never enter. Every contrast adds
+    its d/dYh into one sum per view, pulled back through the norms once.
     """
-    V, n = len(Y), Y[0].shape[1]
-    total = 0.0
-    dY = [np.zeros_like(y) for y in Y] if grad else None
+    V, n = len(Yh), Yh[0].shape[1]
+    total, dY = 0.0, [None] * V
     for a in range(V):
         rest = [v for v in range(V) if v != a]
-        B = Y[rest[0]] if V == 2 else np.hstack([Y[v] for v in rest])
-        loss, dA, dB = contrast(Y[a], B, sigma, k=V - 1, grad=grad)
+        B = Yh[rest[0]] if V == 2 else np.hstack([Yh[v] for v in rest])
+        loss, dA, dB = _unit_contrast(Yh[a], B, sigma, V - 1, grad)
         total += loss
         if grad:
-            dY[a] += dA
+            dY[a] = _accumulate(dY[a], dA)
             for b, v in enumerate(rest):
-                dY[v] += dB[:, b * n : (b + 1) * n]
-    return total, dY
+                dY[v] = _accumulate(dY[v], dB[:, b * n : (b + 1) * n])
+    return total, [_through_norm(g, yh, nv, 1.0) for g, yh, nv in zip(dY, Yh, ny)] if grad else None
 
 
 def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, grad: bool = False):
@@ -343,69 +361,66 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
             dQ[:, rows] += Qh @ G.T
             dQ += Qh[:, rows] @ G
         del G, E  # so that the next block is formed after this one is freed
-    return total / d, np.split(_through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T, V) if grad else None
+    return total / d, list(_through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, -1)) if grad else None
 
 
-def _recovery_pair(xh, y, f, sigma: float, grad: bool, with_dF: bool):
+def _recovery_pair(w, xh, yh, ny, f, sigma: float, want_dY: bool, want_dF: bool):
     """One (m, v) term of ``_recovery_head``, computed ROWS anchors at a time so
     that one ROWS x n logit block is alive, never the n x n matrix."""
-    ny = floored_col_norms(y)
-    yh = y / ny
     Z = f.T @ yh
     nz = floored_col_norms(Z)
     U = yh / nz
-    W = f @ xh
     n = xh.shape[1]
     c = 1.0 / (n * sigma)
     Us = U / sigma
-    with_dF = grad and with_dF
-    cU = c * U if with_dF else None
-    total = 0.0
-    WE = dF = None
+    grad = want_dY or want_dF
+    cU = c * U if want_dF else None
+    total, WE, dF = 0.0, None, None
     for r0 in range(0, n, ROWS):
         rows = slice(r0, r0 + ROWS)
-        Wr = W[:, rows]
+        Wr = w[:, rows]
         loss, E, inv = _xent(Wr.T @ Us, sigma, 1, grad, r0)
         total += loss
         if grad:
             WE = _accumulate(WE, (Wr * inv) @ E)
-        if with_dF:
+        if want_dF:
             dF = _accumulate(dF, ((cU @ E.T) * inv) @ xh[:, rows].T)
         del E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None
     r = (U * WE).sum(axis=0) * (nz > NORM_FLOOR)
     Zh = Z / nz
-    dY = (WE - (f @ Zh) * r) * (c / (nz * ny))
-    if with_dF:
+    dY = (WE - (f @ Zh) * r) * (c / (nz * ny)) if want_dY else None
+    if want_dF:
         dF -= (c * r * U) @ Zh.T
     return total / n, dY, dF
 
 
-def _recovery_head(Xh, Y, Fmats, sigma: float, grad: bool = False, with_dF: bool = True):
-    """Recovery loss, with d/dY if ``grad`` and d/dF if also ``with_dF`` (else None).
+def _recovery_head(Xh, W, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
+    """Recovery loss, with d/dY if ``want_dY`` and d/dF if ``want_dF`` (each else None).
 
     Anchor x_i^m (unit columns Xh of fixed data) is contrasted with the columns
     of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
-    Reassociated, no n x n product runs over D: with yh = Y^v / ny, Z = F_m^T yh,
-    U = yh / nz, W = F_m Xh, c = 1/(n sigma), E = n * dloss/dS, r = colsum(U * W E)
-    (0 where nz is floored), S = W^T U / sigma, dY = (W E - F_m (Z/nz) r) c / (nz ny)
-    and dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Each pair runs over blocks of ROWS
+    Reassociated, no n x n product runs over D: with the unit embeddings yh =
+    Y^v / ny, Z = F_m^T yh, U = yh / nz, W = F_m Xh (``_recovery_maps``, formed
+    once per F), c = 1/(n sigma), E = n * dloss/dS, r = colsum(U * W E) (0 where
+    nz is floored), S = W^T U / sigma, dY = (W E - F_m (Z/nz) r) c / (nz ny) and
+    dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Each pair runs over blocks of ROWS
     rows of S and sums the blocks' shares of W E and of (c U) E^T Xh^T, so one
     ROWS x n block is alive, never S. Y is normalised before F_m: at d = 1, yh is
-    exactly +-1, so the loss is bit-constant in P, as the objective is.
+    exactly +-1, so the loss is bit-constant in P, as the objective is. dF is one
+    d x sum(D_m) array, view m's map gradient in its m-th block of columns.
     """
     total = 0.0
-    dY = [np.zeros_like(y) for y in Y] if grad else None
-    dF = [np.zeros_like(f) for f in Fmats] if grad and with_dF else None
-    for m, v in permutations(range(len(Y)), 2):
-        loss, gy, gf = _recovery_pair(Xh[m], Y[v], Fmats[m], sigma, grad, with_dF)
+    dY, dF = [None] * len(Yh), [None] * len(Yh)
+    for m, v in permutations(range(len(Yh)), 2):
+        loss, gy, gf = _recovery_pair(W[m], Xh[m], Yh[v], ny[v], Fmats[m], sigma, want_dY, want_dF)
         total += loss
-        if grad:
-            dY[v] += gy
-        if dF is not None:
-            dF[m] += gf
-    return total, dY, dF
+        if want_dY:
+            dY[v] = _accumulate(dY[v], gy)
+        if want_dF:
+            dF[m] = _accumulate(dF[m], gf)
+    return total, dY if want_dY else None, np.concatenate(dF, axis=1) if want_dF else None
 
 
 def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> float:
@@ -418,7 +433,7 @@ def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> 
     """
     if sigma1 <= 0:
         raise ValueError("sigma1 must be > 0")
-    return _sample_head(embeddings(P, ds), sigma1)[0]
+    return _sample_head(_unit_columns(embeddings(P, ds))[0], None, sigma1)[0]
 
 
 def feature_level_loss(
@@ -450,17 +465,16 @@ def recovery_level_loss(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    Y = embeddings(P, ds)
-    _check_recovery(F, P.d, ds)
-    return _recovery_head(_unit_columns(ds.views), Y, F.mats, sigma2)[0]
+    _, Yh, ny, Xh, W = _point(P, F, ds)
+    return _recovery_head(Xh, W, F.mats, Yh, ny, sigma2)[0]
 
 
-def _p_heads(Y: list[np.ndarray], hp: HyperParams, grad: bool = False):
-    """sample + alpha * feature, the heads that see only P, at the embeddings Y.
+def _p_heads(Y: list[np.ndarray], Yh: list[np.ndarray], ny: list[np.ndarray], hp: HyperParams, grad: bool = False):
+    """sample + alpha * feature, the heads that see only P, at the embeddings Y (unit columns Yh, norms ny).
 
     Returns (value, d/dY), d/dY None without ``grad``; a zero alpha skips the feature head.
     """
-    value, dY = _sample_head(Y, hp.sigma1, grad)
+    value, dY = _sample_head(Yh, ny, hp.sigma1, grad)
     if hp.alpha != 0.0:
         f, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad)
         value += hp.alpha * f
@@ -470,24 +484,21 @@ def _p_heads(Y: list[np.ndarray], hp: HyperParams, grad: bool = False):
     return value, dY
 
 
-def _f_head(Xh, Y, Fmats, hp: HyperParams, grad: bool = False, with_dF: bool = True):
-    """beta * recovery, the one head that sees F, at the embeddings Y and unit views Xh;
-    returns as ``_recovery_head`` does, and a zero beta skips it, giving 0 and zero gradients."""
+def _f_head(Xh, W, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
+    """beta * recovery, the one head that sees F; returns as ``_recovery_head`` does,
+    and a zero beta skips it, giving 0 and zero gradients."""
     if hp.beta == 0.0:
-        if not grad:
-            return 0.0, None, None
-        return 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats] if with_dF else None
-    value, dY, dF = _recovery_head(Xh, Y, Fmats, hp.sigma2, grad, with_dF)
-    if grad:
+        dY = [np.zeros_like(y) for y in Yh] if want_dY else None
+        return 0.0, dY, np.zeros_like(np.hstack(Fmats)) if want_dF else None
+    value, dY, dF = _recovery_head(Xh, W, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
+    if want_dY:
         dY = [hp.beta * g for g in dY]
-        dF = [hp.beta * g for g in dF] if with_dF else None
-    return hp.beta * value, dY, dF
+    return hp.beta * value, dY, hp.beta * dF if want_dF else None
 
 
 def total_loss(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> float:
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
-    Y = embeddings(P, ds)
-    _check_recovery(F, P.d, ds)
-    return _p_heads(Y, hp)[0] + _f_head(_unit_columns(ds.views), Y, F.mats, hp)[0]
+    Y, Yh, ny, Xh, W = _point(P, F, ds)
+    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(Xh, W, F.mats, Yh, ny, hp)[0]

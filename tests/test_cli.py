@@ -268,6 +268,7 @@ def _with_stats(**changes):
     (_with_stats(means=[[0.0] * 12, [True] * 10]), "'preprocessing.means' must be 2 lists"),
     (_with_stats(stds=[[1.0] * 12, None]), "'preprocessing.stds' must be 2 lists"),
     (_with_stats(stds=5), "'preprocessing.stds' must be 2 lists"),
+    (MODEL | {"config": MODEL["config"] | {"seed": -1}}, "seed must be >= 0, got -1"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -379,6 +380,32 @@ def test_integer_list_flag_names_itself(synth_dir, tmp_path, capsys, command, fl
     assert run_cli(command, flag, text, *rest) == 2
     assert capsys.readouterr().err == f"error: {flag} must be a comma list of integers, got {text!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--seed"),
+    ("synth", "--seed"),
+    ("gradcheck", "--seed"),
+    ("benchmark", "--train-seed"),
+])
+def test_negative_seed_names_itself(synth_dir, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    rest = {
+        "train": ["--views", f"{synth_dir}/view1.csv,{synth_dir}/view2.csv", "--d", "3", "--out", str(out)],
+        "synth": ["--out", str(out)],
+        "gradcheck": [],
+        "benchmark": ["--data", str(synth_dir), "--M", "4", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, flag, "-1", *rest) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_benchmark_split_seed_may_be_negative(synth_dir, tmp_path):
+    # the split seed is mixed to 64 bits before it reaches numpy
+    assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4", "--repeats", "1",
+                   "--d-sweep", "3", "--max-iters", "2", "--seed", "-1", "--out", str(tmp_path / "r.csv")) == 0
 
 
 def test_benchmark_io_failure_exits_3(synth_dir, tmp_path):

@@ -262,6 +262,11 @@ def test_synth_invalid_specs():
         SynthSpec(classes=2, per_class=3, dims=(8, 8), noise_std=0.0)
 
 
+def test_synth_spec_rejects_negative_seed():
+    with pytest.raises(InvalidSpec, match=r"^seed must be >= 0, got -1$"):
+        SynthSpec(classes=2, per_class=3, dims=(12, 12), seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ from mvcl.loss import (
     ROWS,
     _feature_head,
     _recovery_head,
+    _recovery_maps,
     _sample_head,
     _unit_columns,
     contrast,
     cosine_logits,
+    floored_col_norms,
 )
 
 SIGMA = 0.1
@@ -43,8 +45,13 @@ def as_lists(ds, P, F=None):
 # cosine_logits
 # ---------------------------------------------------------------------------
 
+def _unit(A):
+    A = np.asarray(A, dtype=float)
+    return A / floored_col_norms(A)
+
+
 def _cos(u, v, sigma):
-    return cosine_logits(np.asarray(u, dtype=float)[:, None], np.asarray(v, dtype=float)[:, None], sigma)[0][0, 0]
+    return cosine_logits(_unit(u)[:, None], _unit(v)[:, None], sigma)[0, 0]
 
 
 def test_self_similarity_is_inverse_temperature():
@@ -60,7 +67,7 @@ def test_cosine_matches_independent_computation():
     r = np.random.default_rng(77)
     A = r.standard_normal((5, 3))
     B = r.standard_normal((5, 4))
-    S = cosine_logits(A, B, 0.25)[0]
+    S = cosine_logits(_unit(A), _unit(B), 0.25)
     assert S.shape == (3, 4)
     for i in range(3):
         for j in range(4):
@@ -68,7 +75,10 @@ def test_cosine_matches_independent_computation():
 
 
 def test_cosine_zero_vector_floored():
-    assert _cos(np.zeros(3), [1.0, 0.0, 0.0], 0.1) == 0.0  # floor keeps the value finite
+    # the floor keeps the unit column finite: it is 0, and so is its logit
+    z = _unit(np.zeros((3, 1)))
+    assert np.array_equal(z, np.zeros((3, 1)))
+    assert cosine_logits(z, _unit([[1.0], [0.0], [0.0]]), 0.1)[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +148,12 @@ def _recovery_inputs(seed, V, n, D, d):
     return X, Y, Fmats
 
 
+def _recovery(X, Y, Fmats, sigma, want_dY=False, want_dF=False):
+    """``_recovery_head`` at data X and embeddings Y, with the per-point quantities formed here."""
+    Xh = _unit_columns(X)[0]
+    return _recovery_head(Xh, _recovery_maps(Fmats, Xh), Fmats, *_unit_columns(Y), sigma, want_dY, want_dF)
+
+
 def _direct_recovery(X, Y, Fmats, sigma):
     """The head as written: contrast x_i^m with the columns of Z = F_m^T Y^v, chain rule through Z."""
     total, dY, dF = 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats]
@@ -153,41 +169,50 @@ def _direct_recovery(X, Y, Fmats, sigma):
 @pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
 def test_recovery_head_matches_direct_chain_rule(V, sigma):
     X, Y, Fmats = _recovery_inputs(30 + V, V, n=200, D=40, d=6)
-    loss, dY, dF = _recovery_head(_unit_columns(X), Y, Fmats, sigma, grad=True)
+    loss, dY, dF = _recovery(X, Y, Fmats, sigma, want_dY=True, want_dF=True)
     want_loss, want_dY, want_dF = _direct_recovery(X, Y, Fmats, sigma)
     assert loss == pytest.approx(want_loss, rel=1e-10)
-    for got, want in zip(dY + dF, want_dY + want_dF):
+    for got, want in zip(dY + [dF], want_dY + [np.hstack(want_dF)]):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    # d/dY alone is the same arithmetic, without d/dF
-    loss2, dY2, dF2 = _recovery_head(_unit_columns(X), Y, Fmats, sigma, grad=True, with_dF=False)
-    assert loss2 == loss and dF2 is None
-    assert all(np.array_equal(a, b) for a, b in zip(dY2, dY))
 
 
 def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
     # At d = 1 every cosine is +-1 whatever the embedding's scale, so the
     # loss must not move by even one ulp (c1 measures this at seed 7).
     X, Y, Fmats = _recovery_inputs(40, 2, n=30, D=5, d=1)
-    Xh = _unit_columns(X)
-    base = _recovery_head(Xh, Y, Fmats, 0.1)[0]
+    base = _recovery(X, Y, Fmats, 0.1)[0]
     rng = np.random.default_rng(41)
     for _ in range(5):
         scaled = [y * rng.uniform(0.5, 2.0, size=y.shape[1]) for y in Y]
-        assert _recovery_head(Xh, scaled, Fmats, 0.1)[0] == base
-    assert _recovery_head(Xh, [y * (1.0 + 1e-5) for y in Y], Fmats, 0.1)[0] == base
+        assert _recovery(X, scaled, Fmats, 0.1)[0] == base
+    assert _recovery(X, [y * (1.0 + 1e-5) for y in Y], Fmats, 0.1)[0] == base
 
 
 def test_recovery_head_keeps_one_logit_matrix_alive():
     n = 1500
     X, Y, Fmats = _recovery_inputs(42, 2, n=n, D=20, d=4)
-    Xh = _unit_columns(X)
+    Xh = _unit_columns(X)[0]
+    W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
     tracemalloc.start()
     try:
-        _recovery_head(Xh, Y, Fmats, 0.1, grad=True)
+        _recovery_head(Xh, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * n * 8
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_recovery_head_computes_only_what_is_asked(V, sigma):
+    X, Y, Fmats = _recovery_inputs(35 + V, V, n=30, D=8, d=3)
+    loss, dY, dF = _recovery(X, Y, Fmats, sigma, want_dY=True, want_dF=True)
+    assert _recovery(X, Y, Fmats, sigma) == (loss, None, None)
+    loss_y, dY_only, none_f = _recovery(X, Y, Fmats, sigma, want_dY=True)
+    loss_f, none_y, dF_only = _recovery(X, Y, Fmats, sigma, want_dF=True)
+    assert loss_y == loss_f == loss and none_f is None and none_y is None
+    assert all(np.array_equal(a, b) for a, b in zip(dY_only, dY)) and len(dY_only) == V
+    assert np.array_equal(dF_only, dF)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +258,48 @@ def test_feature_head_at_d1_is_exactly_zero(V, include_self_view, sigma):
 
 
 # ---------------------------------------------------------------------------
+# the sample head on unit columns formed once
+# ---------------------------------------------------------------------------
+
+def _per_anchor_sample(Y, sigma):
+    """The head as written: one contrast of each anchor view against the other views side by side."""
+    V, n = len(Y), Y[0].shape[1]
+    total, dY = 0.0, [np.zeros_like(y) for y in Y]
+    for a in range(V):
+        rest = [v for v in range(V) if v != a]
+        loss, dA, dB = contrast(Y[a], np.hstack([Y[v] for v in rest]), sigma, k=V - 1, grad=True)
+        total += loss
+        dY[a] += dA
+        for b, v in enumerate(rest):
+            dY[v] += dB[:, b * n : (b + 1) * n]
+    return total, dY
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
+@pytest.mark.parametrize("n", [18, ROWS + 1])
+def test_sample_head_matches_per_anchor_contrasts(V, sigma, n):
+    Y = _recovery_inputs(80 + V, V, n=n, D=1, d=5)[1]
+    loss, dY = _sample_head(*_unit_columns(Y), sigma, grad=True)
+    want_loss, want_dY = _per_anchor_sample(Y, sigma)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(dY, want_dY):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert _sample_head(*_unit_columns(Y), sigma) == (loss, None)
+
+
+# ---------------------------------------------------------------------------
 # heads computed in blocks of ROWS anchor rows
 # ---------------------------------------------------------------------------
 
 def _head_outputs(head, n, sigma):
     """(loss, all gradients flattened) of one head on seeded inputs with n samples."""
     X, Y, Fmats = _recovery_inputs(50, 3, n=n, D=12, d=4)
-    Xh = _unit_columns(X[:2])
     loss, *grads = {
-        "sample V=2": lambda: _sample_head(Y[:2], sigma, grad=True),
-        "sample V=3": lambda: _sample_head(Y, sigma, grad=True),
-        "recovery": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True),
-        "recovery without dF": lambda: _recovery_head(Xh, Y[:2], Fmats[:2], sigma, grad=True, with_dF=False),
+        "sample V=2": lambda: _sample_head(*_unit_columns(Y[:2]), sigma, grad=True),
+        "sample V=3": lambda: _sample_head(*_unit_columns(Y), sigma, grad=True),
+        "recovery": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True, want_dF=True),
+        "recovery without dF": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True),
         # n feature rows of 4 samples in each view, so V*n anchor rows
         "feature": lambda: _feature_head([y.T for y in Y[:2]], sigma, True, grad=True),
         "feature without self view": lambda: _feature_head([y.T for y in Y], sigma, False, grad=True),
@@ -285,15 +340,16 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
     n, rows = 1500, 256
     monkeypatch.setattr("mvcl.loss.ROWS", rows)
     X, Y, Fmats = _recovery_inputs(42, 3, n=n, D=20, d=4)
-    Xh = _unit_columns(X)
+    Xh = _unit_columns(X)[0]
+    W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
     tracemalloc.start()
     try:
         if head == "sample":
             k = 2  # three views: each anchor row spans the other two
-            _sample_head(Y, 0.1, grad=True)
+            _sample_head(*Yn, 0.1, grad=True)
         elif head == "recovery":
             k = 1
-            _recovery_head(Xh, Y, Fmats, 0.1, grad=True)
+            _recovery_head(Xh, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True)
         else:
             k = 3  # n feature rows of 4 samples in each of three views: blocks of rows x 3n
             _feature_head([y.T for y in Y], 0.1, True, grad=True)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import mvcl.loss
+
 from mvcl import (
     AdamParams,
     AdamState,
@@ -123,6 +125,11 @@ def test_train_defaults():
 def test_train_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         TrainConfig(hp=HyperParams(d=2), tol=tol)
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(hp=HyperParams(d=2), seed=-1)
 
 
 def test_train_stops_immediately_with_huge_tol():
@@ -252,6 +259,26 @@ def test_zero_beta_leaves_recovery_maps_at_their_start():
         losses.append(total_loss(ProjectionSet(tuple(pm)), f0, ds, hp))
     assert rep.losses == tuple(losses)
     assert all(np.array_equal(a, b) for a, b in zip(P.mats, pm))
+
+
+def test_train_forms_each_recovery_anchor_once_per_F(monkeypatch):
+    # W_m = F_m Xh^m depends on F alone: the pass after the F step forms it,
+    # and the full pass at the next point reuses it.
+    seen = []
+    inner = mvcl.loss._recovery_maps
+
+    def counted(Fmats, Xh):
+        seen.append(np.hstack(Fmats).copy())
+        return inner(Fmats, Xh)
+
+    monkeypatch.setattr("mvcl.loss._recovery_maps", counted)
+    monkeypatch.setattr("mvcl.optim._recovery_maps", counted)
+    ds = _train_instance(seed=2)
+    _, F, rep = train(ds, TrainConfig(hp=HyperParams(d=2), max_iters=4, tol=1e-300))
+    # the initial F, then one F per step
+    assert rep.iterations == 4 and len(seen) == 5
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert np.array_equal(seen[-1], np.hstack(F.mats))
 
 
 def test_train_smoke_500_iters_stays_finite():

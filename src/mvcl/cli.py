@@ -231,6 +231,8 @@ def _load_data_dir(dirpath: str | Path, header: bool) -> MultiViewDataset:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.train_seed < 0:  # the split seed --seed may be negative, so name the flag
+        raise ValueError(f"--train-seed must be >= 0, got {args.train_seed}")
     ds = _load_data_dir(args.data, args.header)
     plan = SplitPlan(M=args.M, repeats=args.repeats, seed=args.seed)
     sweep = list(_parse_int_list(args.d_sweep, "--d-sweep")) if args.d_sweep else default_d_sweep(ds.dims)

@@ -13,12 +13,13 @@ similarities:
                   embeddings mapped back to the anchor view's ambient space.
 
 The sample and recovery heads share one softmax cross-entropy, ``_xent``,
-giving the loss and the unnormalised gradient from one pass. Both read each
-point's unit embeddings Yh, formed once (``_unit_columns``); the recovery head's
-logits are reassociated so that no n x n product runs over the ambient dimension,
-its anchors W_m = F_m Xh^m formed once per F (``_recovery_maps``). The feature
-head contrasts all view pairs in one Gram block. Every head runs ``ROWS`` anchor
-rows at a time: one ROWS x kn logit block is alive, not n x kn.
+giving the loss and the unnormalised gradient from one pass. Per-view quantities
+carry a leading view axis: Y, its unit columns Yh (``_unit_columns``) and the
+recovery anchors W_m = F_m Xh^m are (V, d, n) whatever the D_m. Each head runs
+all its view pairs as one batched block: the sample head its V anchor views,
+the recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
+(``_recovery_maps``), the feature head all V^2 pairs in one Gram block. ``ROWS``
+anchor rows are shared over a batch: one ROWS x kn logit block is alive.
 Every expectation is an arithmetic mean over the anchor index and a plain
 sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
 float64 with a fixed left-to-right ordering for reproducibility.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -142,15 +142,15 @@ def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
 
 
 def floored_col_norms(A: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(A, axis=0) computes exactly this, behind several
-    # microseconds of argument handling.
-    return np.maximum(np.sqrt(np.add.reduce(A * A, axis=0)), NORM_FLOOR)
+    # Column norms over the second-to-last axis, floored. np.linalg.norm(A,
+    # axis=-2) computes exactly this, behind microseconds of argument handling.
+    return np.maximum(np.sqrt(np.add.reduce(A * A, axis=-2)), NORM_FLOOR)
 
 
-# Anchor rows per logit block. A head's memory then grows with n, not n², and
-# the exp, sum and divide passes run over one ROWS x kn block (6 MB at
-# kn = 3000) instead of streaming the whole matrix through memory. n <= ROWS
-# is one block, whose arithmetic is that of one pass over the whole matrix.
+# Anchor rows per logit block, summed over a batch of B blocks side by side:
+# each of them holds max(1, ROWS // B) rows. A head's memory then grows with
+# n, not n², and the exp, sum and divide passes run over ROWS x kn logits
+# (6 MB at kn = 3000) instead of streaming the whole matrix through memory.
 ROWS = 256
 
 # Every logit lies in [-1/sigma, 1/sigma], so up to this inverse temperature
@@ -160,62 +160,86 @@ ROWS = 256
 SHIFT_ABOVE = 600.0
 
 
-def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float) -> np.ndarray:
-    """All-pairs temperature-scaled cosines of unit columns: S = Ah^T (Bh / sigma).
+def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs temperature-scaled cosines of unit columns: S = Ah^T (Bh / sigma), into ``out`` if given.
 
-    One logit block of the sample head: its callers normalise every column once,
-    by :func:`floored_col_norms`, and pass the same unit columns to every block.
+    A 2-D logit block of the sample head, whose batched block is filled one anchor
+    view at a time; its callers normalise every column once (:func:`floored_col_norms`).
     """
-    return Ah.T @ (Bh / sigma)
+    return np.matmul(Ah.T, Bh / sigma, out=out)
 
 
-@lru_cache(maxsize=64)
-def _positive_index(c: int, n: int, k: int, r0: int) -> np.ndarray:
-    """Flat indices into a c x (k*n) block of anchor rows r0.. of entries (i, b*n + (r0 + i) % n)."""
-    idx = np.arange(c)[:, None] * (k * n) + np.arange(0, k * n, n) + (np.arange(r0, r0 + c) % n)[:, None]
+# 16 shapes hold every one-block call; at large n an index is cheap next to its block.
+@lru_cache(maxsize=16)
+def _positive_index(shape: tuple[int, ...], k: int, r0: int) -> np.ndarray:
+    """Flat indices into a block of ``shape`` (..., c, k*n), anchor rows r0..r0+c-1 in every
+    batch entry, of the positives (..., i, b*n + (r0 + i) % n) for b < k: shape (..., c, k)."""
+    *batch, c, kn = shape
+    idx = np.arange(c)[:, None] * kn + np.arange(0, kn, kn // k) + (np.arange(r0, r0 + c) % (kn // k))[:, None]
+    idx = (np.arange(math.prod(batch))[:, None, None] * (c * kn) + idx).reshape(*batch, c, k)
     idx.setflags(write=False)
     return idx
 
 
+@lru_cache(maxsize=8)
+def _partners(V: int) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, gather): pair a(V-1) + j joins view a to partner[a(V-1) + j]; gather[v] lists v's pairs."""
+    a = np.arange(V)[:, None]
+    others = np.arange(V - 1) + (np.arange(V - 1) >= a)
+    return others.ravel(), others * (V - 1) + a - (a > others)
+
+
+def _pairs(A: np.ndarray) -> np.ndarray:
+    """A (V, ...) read at every pair's partner view: (V, V-1, ...), entry [a, j] the j-th view other than a."""
+    return A.take(_partners(len(A))[0], axis=0).reshape(len(A), -1, *A.shape[1:])
+
+
+def _to_views(G: np.ndarray) -> np.ndarray:
+    """The inverse scatter of ``_pairs``: the terms G[a, j] (V x (V-1) x ...) summed onto their partner views."""
+    return np.add.reduce(G.reshape(-1, *G.shape[2:]).take(_partners(len(G))[1], axis=0), axis=1)
+
+
 def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -> np.ndarray:
-    """Pull a gradient G w.r.t. the unit columns Xh = X / nx back onto X.
+    """Pull a gradient G w.r.t. the unit columns Xh = X / nx back onto X, over the last two axes.
 
     Removes each column's component along Xh, except for columns at the norm
     floor (the floor is constant there), then multiplies each column by
     scale / nx; ``scale`` is a number or one per column. In place.
     """
-    radial = (Xh * G).sum(axis=0)
+    radial = (Xh * G).sum(axis=-2)
     radial *= nx > NORM_FLOOR
-    G -= Xh * radial
-    G *= scale / nx
+    G -= Xh * radial[..., None, :]
+    G *= (scale / nx)[..., None, :]
     return G
 
 
 def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
-    """Softmax cross-entropy of a logit block S (c x kn) of anchor rows r0..r0+c-1, row i with its
-    positives at (i, b*n + r0 + i); returns (summed row losses, E = rs * dloss/dS in place of S, 1/rs),
-    or None for both without ``grad``: callers scale small factors by 1/rs, not the block by row sums rs."""
-    c, kn = S.shape
-    pidx = _positive_index(c, kn // k, k, r0)
-    pos = S.take(pidx)
+    """Softmax cross-entropy along the last axis of S (..., c, kn), a block of anchor rows r0.. or a batch
+    of them, row i's positives at (..., i, b*n + r0 + i). Returns (summed row losses, E = rs * dloss/dS in
+    place of S, 1/rs), or None for both without ``grad``: callers scale small factors by 1/rs, not E by rs."""
+    pidx = _positive_index(S.shape, k, r0)
     if 1.0 / sigma > SHIFT_ABOVE:
-        top = S.max(axis=1, keepdims=True)
+        pos = S.take(pidx)
+        top = S.max(axis=-1, keepdims=True)
         S -= top
         pos -= top
         E = np.exp(S, out=S)
+        rs = E.sum(axis=-1)
         # exp of a positive far below its row maximum underflows: stay in logs.
-        lpos = np.logaddexp.reduce(pos, axis=1)
+        lpos = np.logaddexp.reduce(pos, axis=-1)
+        loss = float(np.log(rs).sum() - lpos.sum())
+        pos, scale = np.exp(pos - lpos[..., None]), rs
     else:
         E = np.exp(S, out=S)
-        # From E itself, so that a row whose only entry is its positive gives
-        # exactly 0.
-        lpos = np.log(E.take(pidx).sum(axis=1))
-    rs = E.sum(axis=1)
-    loss = float(np.log(rs).sum() - lpos.sum())
+        rs = E.sum(axis=-1)
+        pos = E.take(pidx)
+        # From E itself, so that a row whose only entry is its positive gives exactly 0.
+        scale = rs / pos.sum(axis=-1)
+        loss = float(np.log(scale).sum())
     if not grad:
         return loss, None, None
     # rs * (softmax over the row - softmax over the row's positives)
-    E.ravel()[pidx] -= np.exp(pos - lpos[:, None]) * rs[:, None]
+    E.ravel()[pidx] -= pos * scale[..., None]
     return loss, E, 1.0 / rs
 
 
@@ -228,22 +252,28 @@ def _accumulate(acc, part: np.ndarray) -> np.ndarray:
 
 
 def _unit_contrast(Ah: np.ndarray, Bh: np.ndarray, sigma: float, k: int, grad: bool):
-    """``contrast`` on unit columns Ah, Bh: (loss, d/dAh, d/dBh), not pulled back through the norms."""
-    n = Ah.shape[1]
+    """``contrast`` on a batch of unit columns, Ah (b, D, n) against Bh (b, D, kn): (summed loss,
+    d/dAh, d/dBh), not pulled back through the norms. Each block is b x c x kn, c = ROWS // b rows."""
+    b, _, n = Ah.shape
+    c = max(1, ROWS // b)
     # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
     scale = 1.0 / (n * sigma)
     total, dB = 0.0, None
     dA = np.empty(Ah.shape) if grad else None
-    for r0 in range(0, n, ROWS):
-        rows = slice(r0, r0 + ROWS)
-        loss, E, inv = _xent(cosine_logits(Ah[:, rows], Bh, sigma), sigma, k, grad, r0)
+    for r0 in range(0, n, c):
+        rows = slice(r0, r0 + c)
+        A = Ah[:, :, rows]
+        S = np.empty((b, A.shape[2], Bh.shape[2]))
+        for a in range(b):
+            cosine_logits(A[a], Bh[a], sigma, out=S[a])
+        loss, E, inv = _xent(S, sigma, k, grad, r0)
         total += loss
         if grad:
-            inv *= scale
-            np.matmul(Bh, E.T, out=dA[:, rows])
-            dA[:, rows] *= inv
-            dB = _accumulate(dB, (Ah[:, rows] * inv) @ E)
-        del E  # so that the next block is formed after this one is freed
+            inv = inv[:, None, :] * scale
+            np.matmul(Bh, E.swapaxes(1, 2), out=dA[:, :, rows])
+            dA[:, :, rows] *= inv
+            dB = _accumulate(dB, (A * inv) @ E)
+        del S, E  # so that the next block is formed after this one is freed
     return total / n, dA, dB
 
 
@@ -260,67 +290,69 @@ def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool 
     Returns (loss, dA, dB), the gradients None without ``grad``. A and B are normalised
     once, and S is formed ROWS anchors at a time: one ROWS x kn block is alive.
     """
-    na, nb = floored_col_norms(A), floored_col_norms(B)
-    Ah, Bh = A / na, B / nb
-    loss, dA, dB = _unit_contrast(Ah, Bh, sigma, k, grad)
+    (Ah, na), (Bh, nb) = _unit_columns(A), _unit_columns(B)
+    loss, dA, dB = _unit_contrast(Ah[None], Bh[None], sigma, k, grad)
     if not grad:
         return loss, None, None
-    return loss, _through_norm(dA, Ah, na, 1.0), _through_norm(dB, Bh, nb, 1.0)
+    return loss, _through_norm(dA[0], Ah, na, 1.0), _through_norm(dB[0], Bh, nb, 1.0)
 
 
-def _unit_columns(X) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(X^m / ||x_i^m||, ||x_i^m||) for every view, norms floored: each point's unit columns, formed once."""
-    norms = [floored_col_norms(x) for x in X]
-    return [x / nx for x, nx in zip(X, norms)], norms
+def _unit_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A / ||a_i||, ||a_i||) over the last two axes, norms floored: an array's unit columns, formed once."""
+    norms = floored_col_norms(A)
+    return A / norms[..., None, :], norms
 
 
-def _recovery_maps(Fmats, Xh) -> list[np.ndarray]:
-    """W_m = F_m Xh^m for every view: the recovery head's anchors, a function of F alone."""
-    return [f @ xh for f, xh in zip(Fmats, Xh)]
+def _stacked(left, right) -> np.ndarray:
+    """The products left[m] @ right[m], written into one (V, rows, cols) array."""
+    out = np.empty((len(left), left[0].shape[0], right[0].shape[1]))
+    for a, b, o in zip(left, right, out):
+        np.matmul(a, b, out=o)
+    return out
 
 
-def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> list[np.ndarray]:
-    """Per-view subspace embeddings P_m^T X^m (d x n each)."""
+def _recovery_maps(Fmats, Xh) -> tuple[np.ndarray, np.ndarray]:
+    """(W, R): the recovery anchors W_m = F_m Xh^m (V, d, n) and Gram matrices R_m = F_m F_m^T (V, d, d)."""
+    return _stacked(Fmats, Xh), _stacked(Fmats, [f.T for f in Fmats])
+
+
+def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
+    """Per-view subspace embeddings P_m^T X^m, stacked: (V, d, n)."""
     if P.V != ds.V:
         raise DimError(f"{P.V} projections for {ds.V} views")
     for m, (a, D) in enumerate(zip(P.mats, ds.dims)):
         if a.shape[0] != D:
             raise DimError(f"projection {m} has {a.shape[0]} rows, view has {D} features")
-    return [P.mats[m].T @ ds.views[m] for m in range(ds.V)]
+    return _stacked([a.T for a in P.mats], ds.views)
 
 
 def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
-    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, Xh, W)."""
+    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, Xh, (W, R))."""
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    Xh = _unit_columns(ds.views)[0]
+    Xh = [_unit_columns(x)[0] for x in ds.views]
     return (Y, *_unit_columns(Y), Xh, _recovery_maps(F.mats, Xh))
 
 
-def _sample_head(Yh: list[np.ndarray], ny: list[np.ndarray], sigma: float, grad: bool = False):
-    """Sample-level loss at the unit embeddings Yh (norms ny), and d/dY with ``grad`` (else None).
+def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = False):
+    """Sample-level loss at the unit embeddings Yh (V, d, n), norms ny (V, n), and d/dY with ``grad`` (else None).
 
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
-    there are negatives, and same-view pairs never enter. Every contrast adds
-    its d/dYh into one sum per view, pulled back through the norms once.
+    there are negatives, and same-view pairs never enter. The V anchor views are
+    one batch; the candidates' gradients are scattered back onto their views, and
+    each view's gradient is pulled back through its norm once.
     """
-    V, n = len(Yh), Yh[0].shape[1]
-    total, dY = 0.0, [None] * V
-    for a in range(V):
-        rest = [v for v in range(V) if v != a]
-        B = Yh[rest[0]] if V == 2 else np.hstack([Yh[v] for v in rest])
-        loss, dA, dB = _unit_contrast(Yh[a], B, sigma, V - 1, grad)
-        total += loss
-        if grad:
-            dY[a] = _accumulate(dY[a], dA)
-            for b, v in enumerate(rest):
-                dY[v] = _accumulate(dY[v], dB[:, b * n : (b + 1) * n])
-    return total, [_through_norm(g, yh, nv, 1.0) for g, yh, nv in zip(dY, Yh, ny)] if grad else None
+    V, d, n = Yh.shape
+    B = _pairs(Yh).swapaxes(1, 2).reshape(V, d, (V - 1) * n)
+    total, dA, dB = _unit_contrast(Yh, B, sigma, V - 1, grad)
+    if grad:
+        dA += _to_views(dB.reshape(V, d, V - 1, n).swapaxes(1, 2))
+    return total, _through_norm(dA, Yh, ny, 1.0) if grad else None
 
 
-def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, grad: bool = False):
-    """Feature-level loss of the embeddings Y, and d/dY with ``grad`` (else None).
+def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bool = False):
+    """Feature-level loss of the embeddings Y (V, d, n), and d/dY with ``grad`` (else None).
 
     The contrasted vectors are the rows of Y: row k of view m against all d
     rows of view v, with the same row index as the positive. The V*d rows, as
@@ -329,10 +361,9 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
     diagonal, m = v blocks weighted 0 without ``include_self_view``, and dQh =
     Qh (dG + dG^T) / sigma. The positive's log is taken from exp(G), as in ``_xent``.
     """
-    V, d = len(Y), Y[0].shape[0]
-    Q = np.vstack(Y).T
-    nq = floored_col_norms(Q)
-    Qh = Q / nq
+    V, d, n = Y.shape
+    Q = Y.reshape(V * d, n).T
+    Qh, nq = _unit_columns(Q)
     Qs = Qh / sigma
     total = 0.0
     dQ = np.zeros(Q.shape) if grad else None
@@ -340,7 +371,7 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
         rows = slice(r0, r0 + ROWS)
         G = Qh[:, rows].T @ Qs
         E = G.reshape(-1, V, d)
-        pidx = _positive_index(len(E), d, V, r0)
+        pidx = _positive_index(G.shape, V, r0)
         if 1.0 / sigma > SHIFT_ABOVE:
             E -= E.max(axis=2, keepdims=True)
             lpos = G.take(pidx)
@@ -361,66 +392,57 @@ def _feature_head(Y: list[np.ndarray], sigma: float, include_self_view: bool, gr
             dQ[:, rows] += Qh @ G.T
             dQ += Qh[:, rows] @ G
         del G, E  # so that the next block is formed after this one is freed
-    return total / d, list(_through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, -1)) if grad else None
+    return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, n) if grad else None
 
 
-def _recovery_pair(w, xh, yh, ny, f, sigma: float, want_dY: bool, want_dF: bool):
-    """One (m, v) term of ``_recovery_head``, computed ROWS anchors at a time so
-    that one ROWS x n logit block is alive, never the n x n matrix."""
-    Z = f.T @ yh
-    nz = floored_col_norms(Z)
-    U = yh / nz
-    n = xh.shape[1]
-    c = 1.0 / (n * sigma)
-    Us = U / sigma
-    grad = want_dY or want_dF
-    cU = c * U if want_dF else None
-    total, WE, dF = 0.0, None, None
-    for r0 in range(0, n, ROWS):
-        rows = slice(r0, r0 + ROWS)
-        Wr = w[:, rows]
-        loss, E, inv = _xent(Wr.T @ Us, sigma, 1, grad, r0)
-        total += loss
-        if grad:
-            WE = _accumulate(WE, (Wr * inv) @ E)
-        if want_dF:
-            dF = _accumulate(dF, ((cU @ E.T) * inv) @ xh[:, rows].T)
-        del E  # so that the next block is formed after this one is freed
-    if not grad:
-        return total / n, None, None
-    r = (U * WE).sum(axis=0) * (nz > NORM_FLOOR)
-    Zh = Z / nz
-    dY = (WE - (f @ Zh) * r) * (c / (nz * ny)) if want_dY else None
-    if want_dF:
-        dF -= (c * r * U) @ Zh.T
-    return total / n, dY, dF
-
-
-def _recovery_head(Xh, W, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
-    """Recovery loss, with d/dY if ``want_dY`` and d/dF if ``want_dF`` (each else None).
+def _recovery_head(Xh, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
+    """Recovery loss, with d/dY (V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None).
 
     Anchor x_i^m (unit columns Xh of fixed data) is contrasted with the columns
     of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
-    Reassociated, no n x n product runs over D: with the unit embeddings yh =
-    Y^v / ny, Z = F_m^T yh, U = yh / nz, W = F_m Xh (``_recovery_maps``, formed
-    once per F), c = 1/(n sigma), E = n * dloss/dS, r = colsum(U * W E) (0 where
-    nz is floored), S = W^T U / sigma, dY = (W E - F_m (Z/nz) r) c / (nz ny) and
-    dF = (c U) E^T Xh^T - (c U r) (Z/nz)^T. Each pair runs over blocks of ROWS
-    rows of S and sums the blocks' shares of W E and of (c U) E^T Xh^T, so one
-    ROWS x n block is alive, never S. Y is normalised before F_m: at d = 1, yh is
-    exactly +-1, so the loss is bit-constant in P, as the objective is. dF is one
-    d x sum(D_m) array, view m's map gradient in its m-th block of columns.
+    All V(V-1) ordered pairs (m, v) are one batch, run in d-space: with yh =
+    Y^v / ny, (W, R) = ``maps`` (W = F_m Xh, R = F_m F_m^T), nz = ||F_m^T yh|| =
+    sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
+    U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r =
+    colsum(U * W E) (0 where nz is floored): dY = (W E - R U r) c / (nz ny) and
+    dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v. Blocks of ROWS // (V(V-1))
+    rows of every pair's S run at once and sum their shares of W E and of dF's
+    one ambient product per view, so one ROWS x n block is alive, never S. At
+    d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
+    as the objective is. dF is one d x sum(D_m) array, view m's in its m-th columns.
     """
-    total = 0.0
-    dY, dF = [None] * len(Yh), [None] * len(Yh)
-    for m, v in permutations(range(len(Yh)), 2):
-        loss, gy, gf = _recovery_pair(W[m], Xh[m], Yh[v], ny[v], Fmats[m], sigma, want_dY, want_dF)
+    W, R = maps[0], maps[1][:, None]  # R_m for every pair (m, v)
+    V, d, n = Yh.shape
+    U = _pairs(Yh)
+    nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=2), 0.0)), NORM_FLOOR)
+    U /= nz[:, :, None, :]
+    c, grad = 1.0 / (n * sigma), want_dY or want_dF
+    rows = max(1, ROWS // (V * (V - 1)))
+    total, WE, dF = 0.0, None, [None] * V
+    for r0 in range(0, n, rows):
+        Wr = W[:, None, :, r0 : r0 + rows]
+        loss, E, inv = _xent((Wr / sigma).swapaxes(2, 3) @ U, sigma, 1, grad, r0)
         total += loss
-        if want_dY:
-            dY[v] = _accumulate(dY[v], gy)
+        if grad:
+            inv = inv[:, :, None, :]
+            part = Wr * inv
+            if WE is None:
+                WE = part @ E
+            else:  # one pair at a time, so that no second V(V-1) x d x n array is alive
+                for p in np.ndindex(V, V - 1):
+                    WE[p] += part[p] @ E[p]
         if want_dF:
-            dF[m] = _accumulate(dF[m], gf)
-    return total, dY if want_dY else None, np.concatenate(dF, axis=1) if want_dF else None
+            A = ((U @ E.swapaxes(2, 3)) * (c * inv)).sum(axis=1)
+            dF = [_accumulate(g, a @ x[:, r0 : r0 + rows].T) for g, a, x in zip(dF, A, Xh)]
+        del E  # so that the next block is formed after this one is freed
+    if not grad:
+        return total / n, None, None
+    r = np.add.reduce(U * WE, axis=2) * (nz > NORM_FLOOR)
+    dY = _to_views((WE - R @ U * r[..., None, :]) * (c / (nz * _pairs(ny)))[..., None, :]) if want_dY else None
+    if want_dF:
+        B = ((U * (c * r)[:, :, None, :]) @ U.swapaxes(2, 3)).sum(axis=1)
+        dF = np.concatenate([g - b @ f for g, b, f in zip(dF, B, Fmats)], axis=1)
+    return total / n, dY, dF if want_dF else None
 
 
 def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> float:
@@ -465,11 +487,11 @@ def recovery_level_loss(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    _, Yh, ny, Xh, W = _point(P, F, ds)
-    return _recovery_head(Xh, W, F.mats, Yh, ny, sigma2)[0]
+    _, Yh, ny, Xh, maps = _point(P, F, ds)
+    return _recovery_head(Xh, maps, F.mats, Yh, ny, sigma2)[0]
 
 
-def _p_heads(Y: list[np.ndarray], Yh: list[np.ndarray], ny: list[np.ndarray], hp: HyperParams, grad: bool = False):
+def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, grad: bool = False):
     """sample + alpha * feature, the heads that see only P, at the embeddings Y (unit columns Yh, norms ny).
 
     Returns (value, d/dY), d/dY None without ``grad``; a zero alpha skips the feature head.
@@ -479,26 +501,23 @@ def _p_heads(Y: list[np.ndarray], Yh: list[np.ndarray], ny: list[np.ndarray], hp
         f, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad)
         value += hp.alpha * f
         if grad:
-            for acc, gm in zip(dY, g):
-                acc += hp.alpha * gm
+            dY += hp.alpha * g
     return value, dY
 
 
-def _f_head(Xh, W, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
+def _f_head(Xh, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
     """beta * recovery, the one head that sees F; returns as ``_recovery_head`` does,
     and a zero beta skips it, giving 0 and zero gradients."""
     if hp.beta == 0.0:
-        dY = [np.zeros_like(y) for y in Yh] if want_dY else None
+        dY = np.zeros_like(Yh) if want_dY else None
         return 0.0, dY, np.zeros_like(np.hstack(Fmats)) if want_dF else None
-    value, dY, dF = _recovery_head(Xh, W, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
-    if want_dY:
-        dY = [hp.beta * g for g in dY]
-    return hp.beta * value, dY, hp.beta * dF if want_dF else None
+    value, dY, dF = _recovery_head(Xh, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
+    return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None
 
 
 def total_loss(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> float:
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
-    Y, Yh, ny, Xh, W = _point(P, F, ds)
-    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(Xh, W, F.mats, Yh, ny, hp)[0]
+    Y, Yh, ny, Xh, maps = _point(P, F, ds)
+    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(Xh, maps, F.mats, Yh, ny, hp)[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .data import FeatureStats, MultiViewDataset
 from .errors import DimError, NumericDivergence
 from .grad import grad_wrt_P  # noqa: F401  (the benchmark's tracer rebinds this name)
-from .loss import HyperParams, ProjectionSet, RecoverySet, _f_head, _p_heads, _recovery_maps, _unit_columns
+from .loss import HyperParams, ProjectionSet, RecoverySet, _f_head, _p_heads, _recovery_maps, _stacked, _unit_columns
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -126,9 +126,10 @@ def train(
     gradient and the P-only heads' share of the next P step's gradient; after
     the F step only the recovery head runs again, at (P, F'), for d/dY alone;
     the last point's pass is value-only. Each per-point quantity is formed once:
-    X's unit columns per call, the unit embeddings Yh per P (reused at (P, F'))
-    and the recovery anchors W_m = F_m Xh^m per F (reused at (P', F')). P and F
-    are each one stacked array with one (entrywise) Adam state; a view's matrix is a slice.
+    X's unit columns per call, Y and its unit columns Yh per P, each one (V, d, n)
+    array (Yh reused at (P, F')), and W_m = F_m Xh^m and R_m = F_m F_m^T per F
+    (reused at (P', F')); each head runs all its view pairs as one batched block.
+    P and F are each one stacked array with one (entrywise) Adam state; a view's matrix is a slice.
 
     ``preprocessing`` is an optional record of upstream data decisions that
     is echoed verbatim in the report. Deterministic: the same dataset and
@@ -136,22 +137,22 @@ def train(
     while training surfaces as NumericDivergence, not as numpy warnings.
     """
     t0 = time.perf_counter()
-    hp, X, Xh = cfg.hp, ds.views, _unit_columns(ds.views)[0]
+    hp, X, Xh = cfg.hp, ds.views, [_unit_columns(x)[0] for x in ds.views]
     P, F = init_params(ds.dims, hp.d, cfg.seed)
     p, f = np.vstack(P.mats), np.hstack(F.mats)
     blocks = [slice(end - D, end) for D, end in zip(ds.dims, accumulate(ds.dims))]
     pmats, fmats = [p[b] for b in blocks], [f[:, b] for b in blocks]
     fit_f = hp.beta != 0.0  # else F is out of the objective, and Adam would not move it
-    W = _recovery_maps(fmats, Xh) if fit_f else None
+    maps = _recovery_maps(fmats, Xh) if fit_f else None
 
-    def full_pass(pmats, fmats, W, grad=True):
-        Y = [pm.T @ x for pm, x in zip(pmats, X)]
+    def full_pass(pmats, fmats, maps, grad=True):
+        Y = _stacked([pm.T for pm in pmats], X)
         Yh, ny = _unit_columns(Y)
         value, dYp = _p_heads(Y, Yh, ny, hp, grad)
-        rvalue, _, dF = _f_head(Xh, W, fmats, Yh, ny, hp, want_dF=grad and fit_f)
+        rvalue, _, dF = _f_head(Xh, maps, fmats, Yh, ny, hp, want_dF=grad and fit_f)
         return value + rvalue, Yh, ny, dYp, dF
 
-    loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, W)
+    loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps)
     if not np.isfinite(loss):
         raise NumericDivergence("initial loss is not finite", iteration=0)
     losses = [loss]
@@ -164,15 +165,14 @@ def train(
         if fit_f:
             f_state, f = adam_step(f_state, dF, f, cfg.adam)
             fmats = [f[:, b] for b in blocks]
-            W = _recovery_maps(fmats, Xh)
-            dYr = _f_head(Xh, W, fmats, Yh, ny, hp, want_dY=True)[1]
-            dYp = [a + b for a, b in zip(dYp, dYr)]
+            maps = _recovery_maps(fmats, Xh)
+            dYp += _f_head(Xh, maps, fmats, Yh, ny, hp, want_dY=True)[1]
         for x, g, b in zip(X, dYp, blocks):
             np.matmul(x, g.T, out=dP[b])
         p_state, p = adam_step(p_state, dP, p, cfg.adam)
         pmats = [p[b] for b in blocks]
 
-        loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, W, grad=it < cfg.max_iters)
+        loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps, grad=it < cfg.max_iters)
         if not np.isfinite(loss):
             raise NumericDivergence(f"loss diverged at iteration {it}", iteration=it)
         losses.append(loss)

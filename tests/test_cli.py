@@ -398,7 +398,9 @@ def test_negative_seed_names_itself(synth_dir, tmp_path, capsys, command, flag):
     }[command]
     capsys.readouterr()
     assert run_cli(command, flag, "-1", *rest) == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    # benchmark also has a split seed, --seed, which may be negative
+    name = flag if command == "benchmark" else "seed"
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mvcl.loss
 import oracles as orc
 from mvcl import (
     DimError,
@@ -51,7 +52,7 @@ def _unit(A):
 
 
 def _cos(u, v, sigma):
-    return cosine_logits(_unit(u)[:, None], _unit(v)[:, None], sigma)[0, 0]
+    return cosine_logits(_unit(np.c_[u]), _unit(np.c_[v]), sigma)[0, 0]
 
 
 def test_self_similarity_is_inverse_temperature():
@@ -141,16 +142,18 @@ def test_recovery_loss_perfect_recovery_closed_form():
 # ---------------------------------------------------------------------------
 
 def _recovery_inputs(seed, V, n, D, d):
+    """Views X (D rows each, or D[m] rows for a tuple D), embeddings Y (V, d, n) and maps F_m."""
+    dims = D if isinstance(D, tuple) else (D,) * V
     rng = np.random.default_rng(seed)
-    X = [rng.standard_normal((D, n)) for _ in range(V)]
-    Y = [rng.standard_normal((d, n)) for _ in range(V)]
-    Fmats = [rng.standard_normal((d, D)) for _ in range(V)]
+    X = [rng.standard_normal((Dm, n)) for Dm in dims]
+    Y = np.stack([rng.standard_normal((d, n)) for _ in range(V)])
+    Fmats = [rng.standard_normal((d, Dm)) for Dm in dims]
     return X, Y, Fmats
 
 
 def _recovery(X, Y, Fmats, sigma, want_dY=False, want_dF=False):
-    """``_recovery_head`` at data X and embeddings Y, with the per-point quantities formed here."""
-    Xh = _unit_columns(X)[0]
+    """``_recovery_head`` at data X and embeddings Y (V, d, n), with the per-point quantities formed here."""
+    Xh = [_unit_columns(x)[0] for x in X]
     return _recovery_head(Xh, _recovery_maps(Fmats, Xh), Fmats, *_unit_columns(Y), sigma, want_dY, want_dF)
 
 
@@ -165,15 +168,51 @@ def _direct_recovery(X, Y, Fmats, sigma):
     return total, dY, dF
 
 
-@pytest.mark.parametrize("V", [2, 3])
-@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
-def test_recovery_head_matches_direct_chain_rule(V, sigma):
-    X, Y, Fmats = _recovery_inputs(30 + V, V, n=200, D=40, d=6)
+def _assert_matches_direct(X, Y, Fmats, sigma):
     loss, dY, dF = _recovery(X, Y, Fmats, sigma, want_dY=True, want_dF=True)
     want_loss, want_dY, want_dF = _direct_recovery(X, Y, Fmats, sigma)
     assert loss == pytest.approx(want_loss, rel=1e-10)
-    for got, want in zip(dY + [dF], want_dY + [np.hstack(want_dF)]):
+    for got, want in zip([*dY, dF], want_dY + [np.hstack(want_dF)]):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("V", [2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
+def test_recovery_head_matches_direct_chain_rule(V, sigma):
+    _assert_matches_direct(*_recovery_inputs(30 + V, V, n=200, D=40, d=6), sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_recovery_head_matches_direct_chain_rule_at_unequal_dims(sigma):
+    # d-space Gram matrices R_m = F_m F_m^T stack whatever the D_m; the ambient Z = F_m^T Y^v does not
+    _assert_matches_direct(*_recovery_inputs(34, 3, n=200, D=(12, 9, 7), d=6), sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_recovery_head_floors_a_zero_map_as_the_direct_form_does(sigma):
+    # F_1 = 0 floors nz in every pair (1, v). The head floors ||F_m^T yh|| and the direct form
+    # ||F_m^T y||, so the two floors coincide on unit embedding columns.
+    X, Y, Fmats = _recovery_inputs(36, 3, n=40, D=(12, 9, 7), d=3)
+    Fmats[1] = np.zeros_like(Fmats[1])
+    Y = _unit_columns(Y)[0]
+    loss, dY, dF = _recovery(X, Y, Fmats, sigma, want_dY=True, want_dF=True)
+    assert np.isfinite(loss) and np.isfinite(dY).all() and np.isfinite(dF).all()
+    _assert_matches_direct(X, Y, Fmats, sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_recovery_head_floors_gram_values_rounded_below_zero(sigma):
+    # F_1 = u w^T has rank 1 at d = 3, and view 0's embeddings are orthogonal to u, so
+    # yh . R_1 yh is 0 up to rounding, of either sign. The head floors it: a sqrt of a
+    # negative would warn, which pytest turns into an error.
+    X, Y, Fmats = _recovery_inputs(37, 3, n=60, D=(12, 9, 7), d=3)
+    u = np.array([1.0, -2.0, 0.5])
+    Fmats[1] = np.outer(u, np.linspace(-1.0, 1.0, 9))
+    Y[0] -= np.outer(u, u @ Y[0]) / (u @ u)
+    yh, R = _unit_columns(Y[0])[0], Fmats[1] @ Fmats[1].T
+    assert (np.add.reduce(yh * (R @ yh), axis=0) < 0).any()
+    loss, dY, dF = _recovery(X, Y, Fmats, sigma, want_dY=True, want_dF=True)
+    assert np.isfinite(loss) and np.isfinite(dY).all() and np.isfinite(dF).all()
 
 
 def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
@@ -183,15 +222,15 @@ def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
     base = _recovery(X, Y, Fmats, 0.1)[0]
     rng = np.random.default_rng(41)
     for _ in range(5):
-        scaled = [y * rng.uniform(0.5, 2.0, size=y.shape[1]) for y in Y]
+        scaled = Y * rng.uniform(0.5, 2.0, size=(len(Y), 1, Y.shape[2]))
         assert _recovery(X, scaled, Fmats, 0.1)[0] == base
-    assert _recovery(X, [y * (1.0 + 1e-5) for y in Y], Fmats, 0.1)[0] == base
+    assert _recovery(X, Y * (1.0 + 1e-5), Fmats, 0.1)[0] == base
 
 
 def test_recovery_head_keeps_one_logit_matrix_alive():
     n = 1500
     X, Y, Fmats = _recovery_inputs(42, 2, n=n, D=20, d=4)
-    Xh = _unit_columns(X)[0]
+    Xh = [_unit_columns(x)[0] for x in X]
     W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
     tracemalloc.start()
     try:
@@ -301,8 +340,8 @@ def _head_outputs(head, n, sigma):
         "recovery": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True, want_dF=True),
         "recovery without dF": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True),
         # n feature rows of 4 samples in each view, so V*n anchor rows
-        "feature": lambda: _feature_head([y.T for y in Y[:2]], sigma, True, grad=True),
-        "feature without self view": lambda: _feature_head([y.T for y in Y], sigma, False, grad=True),
+        "feature": lambda: _feature_head(Y[:2].swapaxes(1, 2), sigma, True, grad=True),
+        "feature without self view": lambda: _feature_head(Y.swapaxes(1, 2), sigma, False, grad=True),
     }[head]()
     return np.array([loss]), np.concatenate([g.ravel() for gs in grads if gs is not None for g in gs])
 
@@ -314,7 +353,8 @@ def _head_outputs(head, n, sigma):
 @pytest.mark.parametrize("n", [ROWS + 1, 2 * ROWS + 37])
 def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
     blocks = _head_outputs(head, n, sigma)
-    monkeypatch.setattr("mvcl.loss.ROWS", n)
+    # one block of every batch entry's n rows: 3 anchor views, 2 view pairs or 3n feature rows
+    monkeypatch.setattr("mvcl.loss.ROWS", 3 * n)
     whole = _head_outputs(head, n, sigma)
     for got, want in zip(blocks, whole):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -325,9 +365,9 @@ def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
 def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
     anchors = []
 
-    def counted(A, B, sigma):
+    def counted(A, B, sigma, out=None):
         anchors.append(A.shape[1])
-        return cosine_logits(A, B, sigma)
+        return cosine_logits(A, B, sigma, out=out)
 
     monkeypatch.setattr("mvcl.loss.cosine_logits", counted)
     rng = np.random.default_rng(n)
@@ -335,28 +375,64 @@ def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
     assert len(anchors) == blocks and sum(anchors) == n
 
 
-@pytest.mark.parametrize("head", ["sample", "recovery", "feature"])
+@pytest.mark.parametrize(
+    "head", ["sample", "recovery", "feature", "sample V=4", "recovery V=4", "feature V=4"]
+)
 def test_heads_keep_one_row_block_alive(monkeypatch, head):
+    # ROWS counts anchor rows over a whole batch of views or view pairs, so the bound holds at every V
+    head, _, views = head.partition(" V=")
+    V = int(views or 3)
     n, rows = 1500, 256
     monkeypatch.setattr("mvcl.loss.ROWS", rows)
-    X, Y, Fmats = _recovery_inputs(42, 3, n=n, D=20, d=4)
-    Xh = _unit_columns(X)[0]
+    X, Y, Fmats = _recovery_inputs(42, V, n=n, D=20, d=4)
+    Xh = [_unit_columns(x)[0] for x in X]
     W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
     tracemalloc.start()
     try:
         if head == "sample":
-            k = 2  # three views: each anchor row spans the other two
+            k = V - 1  # each anchor row spans the other views
             _sample_head(*Yn, 0.1, grad=True)
         elif head == "recovery":
             k = 1
             _recovery_head(Xh, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True)
         else:
-            k = 3  # n feature rows of 4 samples in each of three views: blocks of rows x 3n
-            _feature_head([y.T for y in Y], 0.1, True, grad=True)
+            k = V  # n feature rows of 4 samples in each view: blocks of rows x Vn
+            _feature_head(Y.swapaxes(1, 2), 0.1, True, grad=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * rows * k * n * 8
+
+
+@pytest.mark.parametrize("V", [2, 3, 4])
+@pytest.mark.parametrize("rows_per_entry, blocks", [(ROWS, 1), (4, 5)])
+def test_heads_run_every_view_pair_in_one_batched_block(monkeypatch, V, rows_per_entry, blocks):
+    # One softmax call per block of rows, whatever V is: the sample head's V anchor views and
+    # the recovery head's V(V-1) ordered view pairs are each one batch, ROWS rows shared over it.
+    # The sample head fills its block with 2-D cosine_logits calls, one per anchor view.
+    n = 18
+    X, Y, Fmats = _recovery_inputs(95, V, n=n, D=8, d=3)
+    xents, cosines = [], []
+    xent, cos = mvcl.loss._xent, mvcl.loss.cosine_logits
+
+    def counted_xent(S, *args):
+        xents.append(S.shape)
+        return xent(S, *args)
+
+    def counted_cos(A, B, sigma, out=None):
+        cosines.append((A.ndim, B.ndim))
+        return cos(A, B, sigma, out=out)
+
+    monkeypatch.setattr("mvcl.loss._xent", counted_xent)
+    monkeypatch.setattr("mvcl.loss.cosine_logits", counted_cos)
+    monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V)
+    _sample_head(*_unit_columns(Y), SIGMA, grad=True)
+    assert len(xents) == blocks and {s[0] for s in xents} == {V}
+    assert cosines == [(2, 2)] * (V * blocks)
+    xents.clear()
+    monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V * (V - 1))
+    _recovery(X, Y, Fmats, SIGMA, want_dY=True, want_dF=True)
+    assert len(xents) == blocks and {s[:2] for s in xents} == {(V, V - 1)}
 
 
 # ---------------------------------------------------------------------------

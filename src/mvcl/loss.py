@@ -12,17 +12,18 @@ similarities:
   recovery level  anchors are original samples, candidates are cross-view
                   embeddings mapped back to the anchor view's ambient space.
 
-The sample and recovery heads share one softmax cross-entropy, ``_xent``,
-giving the loss and the unnormalised gradient from one pass. Per-view quantities
+All three heads share one softmax cross-entropy, ``_xent``, giving the loss
+and the unnormalised gradient from one pass; it alone holds the exponential,
+the overflow rule (``SHIFT_ABOVE``) and the positives' layout. Per-view quantities
 carry a leading view axis: Y, its unit columns Yh (``_unit_columns``) and the
 recovery anchors W_m = F_m Xh^m are (V, d, n) whatever the D_m. Each head runs
 all its view pairs as one batched block: the sample head its V anchor views,
 the recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
-(``_recovery_maps``), the feature head all V^2 pairs in one Gram block. ``ROWS``
-anchor rows are shared over a batch: one ROWS x kn logit block is alive.
-Every expectation is an arithmetic mean over the anchor index and a plain
-sum over view pairs, so loss magnitudes do not grow with n. Accumulation is
-float64 with a fixed left-to-right ordering for reproducibility.
+(``_recovery_maps``), the feature head the V candidate views of every row of one
+Gram block. ``ROWS`` anchor rows are shared over a batch: one ROWS x kn logit
+block is alive. Every expectation is an arithmetic mean over the anchor index and
+a plain sum over view pairs, so loss magnitudes do not grow with n. Accumulation
+is float64 with a fixed left-to-right ordering for reproducibility.
 """
 
 from __future__ import annotations
@@ -64,10 +65,14 @@ class HyperParams:
             raise ValueError("d must be >= 1")
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError("alpha and beta must be finite and >= 0")
-        sigmas = (self.sigma1, self.sigma2, self.sigma3)
-        # 1/sigma scales every logit, so it must be finite too.
-        if not all(0 < s < math.inf and 1.0 / float(s) < math.inf for s in sigmas):
-            raise ValueError("temperatures must be finite and > 0, with a finite reciprocal")
+        for name in ("sigma1", "sigma2", "sigma3"):
+            _check_temperature(name, getattr(self, name))
+
+
+def _check_temperature(name: str, sigma: float) -> None:
+    """Reject a temperature that is not finite and > 0: 1/sigma scales every logit, so it must be finite too."""
+    if not (0 < sigma < math.inf and 1.0 / float(sigma) < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, with a finite reciprocal")
 
 
 def _check_mats(mats, what: str) -> tuple[np.ndarray, ...]:
@@ -215,8 +220,10 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
 
 def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
     """Softmax cross-entropy along the last axis of S (..., c, kn), a block of anchor rows r0.. or a batch
-    of them, row i's positives at (..., i, b*n + r0 + i). Returns (summed row losses, E = rs * dloss/dS in
-    place of S, 1/rs), or None for both without ``grad``: callers scale small factors by 1/rs, not E by rs."""
+    of them, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every head.
+    Returns (summed row losses, E = rs * dloss/dS in place of S, 1/rs), or None for both without ``grad``:
+    callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row, and a row
+    whose one finite entry is its positive gives a loss and gradient of exactly 0."""
     pidx = _positive_index(S.shape, k, r0)
     if 1.0 / sigma > SHIFT_ABOVE:
         pos = S.take(pidx)
@@ -356,42 +363,34 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
 
     The contrasted vectors are the rows of Y: row k of view m against all d
     rows of view v, with the same row index as the positive. The V*d rows, as
-    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma
-    read as (V, d, V, d): a softmax per row of each (m, v) block, positive on its
-    diagonal, m = v blocks weighted 0 without ``include_self_view``, and dQh =
-    Qh (dG + dG^T) / sigma. The positive's log is taken from exp(G), as in ``_xent``.
+    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma,
+    ROWS // V anchor rows (m, k) at a time: one GEMM, then moved to (V, c, d), one
+    batch entry per candidate view v, for ``_xent``, whose positive (r0 + i) % d is
+    the diagonal of each (m, v) block. Without ``include_self_view`` each row's
+    m = v entry is -inf off its positive, so its loss and gradient are exactly 0.
+    dQh = Qh (dG + dG^T) / sigma.
     """
     V, d, n = Y.shape
     Q = Y.reshape(V * d, n).T
     Qh, nq = _unit_columns(Q)
     Qs = Qh / sigma
+    c = max(1, ROWS // V)
     total = 0.0
     dQ = np.zeros(Q.shape) if grad else None
-    for r0 in range(0, V * d, ROWS):
-        rows = slice(r0, r0 + ROWS)
-        G = Qh[:, rows].T @ Qs
-        E = G.reshape(-1, V, d)
-        pidx = _positive_index(G.shape, V, r0)
-        if 1.0 / sigma > SHIFT_ABOVE:
-            E -= E.max(axis=2, keepdims=True)
-            lpos = G.take(pidx)
-            np.exp(G, out=G)
-        else:
-            np.exp(G, out=G)
-            lpos = np.log(G.take(pidx))
-        rs = E.sum(axis=2)
-        part, inv = np.log(rs) - lpos, 1.0 / rs
+    for r0 in range(0, V * d, c):
+        rows = slice(r0, r0 + c)
+        S = np.ascontiguousarray((Qh[:, rows].T @ Qs).reshape(-1, V, d).swapaxes(0, 1))
         if not include_self_view:
-            own = (np.arange(len(E)), np.arange(r0, r0 + len(E)) // d)
-            part[own] = inv[own] = 0.0
-        total += float(part.sum())
+            (own, k), i = divmod(np.arange(r0, r0 + S.shape[1]), d), np.arange(S.shape[1])
+            S[own, i] = np.where(np.arange(d) == k[:, None], S[own, i], -np.inf)
+        loss, E, inv = _xent(S, sigma, 1, grad, r0)
+        total += loss
         if grad:
-            # one positive per row and block: the softmax over it is 1
-            G.ravel()[pidx] -= rs
-            E *= inv[:, :, None]
-            dQ[:, rows] += Qh @ G.T
-            dQ += Qh[:, rows] @ G
-        del G, E  # so that the next block is formed after this one is freed
+            E *= inv[..., None]
+            E = E.swapaxes(0, 1).reshape(-1, V * d)  # dG, back in the Gram block's layout
+            dQ[:, rows] += Qh @ E.T
+            dQ += Qh[:, rows] @ E
+        del S, E  # so that the next block is formed after this one is freed
     return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, n) if grad else None
 
 
@@ -407,7 +406,8 @@ def _recovery_head(Xh, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False,
     colsum(U * W E) (0 where nz is floored): dY = (W E - R U r) c / (nz ny) and
     dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v. Blocks of ROWS // (V(V-1))
     rows of every pair's S run at once and sum their shares of W E and of dF's
-    one ambient product per view, so one ROWS x n block is alive, never S. At
+    one ambient product per view, so one ROWS x n block is alive, never S; beside
+    it U and W E are V(V-1) d n floats each, so memory also grows with V^2 d. At
     d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
     as the objective is. dF is one d x sum(D_m) array, view m's in its m-th columns.
     """
@@ -453,8 +453,7 @@ def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> 
     same-view pairs never enter. The per-anchor terms are averaged over i
     and summed over anchor views.
     """
-    if sigma1 <= 0:
-        raise ValueError("sigma1 must be > 0")
+    _check_temperature("sigma1", sigma1)
     return _sample_head(_unit_columns(embeddings(P, ds))[0], None, sigma1)[0]
 
 
@@ -470,8 +469,7 @@ def feature_level_loss(
     other view; only the matching row index counts as positive. This pushes
     distinct subspace dimensions apart, removing redundant coordinates.
     """
-    if sigma3 <= 0:
-        raise ValueError("sigma3 must be > 0")
+    _check_temperature("sigma3", sigma3)
     return _feature_head(embeddings(P, ds), sigma3, include_self_view)[0]
 
 
@@ -485,8 +483,7 @@ def recovery_level_loss(
     than anyone else's. Captures information about view m that the other
     views' embeddings must retain.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
+    _check_temperature("sigma2", sigma2)
     _, Yh, ny, Xh, maps = _point(P, F, ds)
     return _recovery_head(Xh, maps, F.mats, Yh, ny, sigma2)[0]
 

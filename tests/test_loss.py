@@ -20,6 +20,7 @@ from mvcl import (
 )
 from mvcl.grad import random_instance
 from mvcl.loss import (
+    NORM_FLOOR,
     ROWS,
     _feature_head,
     _recovery_head,
@@ -215,6 +216,23 @@ def test_recovery_head_floors_gram_values_rounded_below_zero(sigma):
     assert np.isfinite(loss) and np.isfinite(dY).all() and np.isfinite(dF).all()
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1e-3])
+def test_recovery_head_gradient_holds_where_every_norm_is_floored(sigma):
+    # F_1 scaled so that every ||F_1^T yh|| lies below NORM_FLOOR: nz is the constant floor, so
+    # dF_1 has no radial part to remove there, and r must be masked to 0 where nz is floored.
+    X, Y, Fmats = _recovery_inputs(38, 3, n=30, D=(12, 9, 7), d=3)
+    Fmats[1] = Fmats[1] * 1e-14
+    assert np.linalg.norm(Fmats[1]) < NORM_FLOOR
+    dF1 = _recovery(X, Y, Fmats, sigma, want_dF=True)[2][:, 12:21]
+    D, h = np.random.default_rng(39).standard_normal(Fmats[1].shape), 1e-18
+
+    def loss_at(t):
+        return _recovery(X, Y, [*Fmats[:1], Fmats[1] + t * D, *Fmats[2:]], sigma)[0]
+
+    want = np.sum(dF1 * D)
+    assert abs((loss_at(h) - loss_at(-h)) / (2 * h) - want) <= 1e-6 * abs(want)
+
+
 def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
     # At d = 1 every cosine is +-1 whatever the embedding's scale, so the
     # loss must not move by even one ulp (c1 measures this at seed 7).
@@ -353,8 +371,9 @@ def _head_outputs(head, n, sigma):
 @pytest.mark.parametrize("n", [ROWS + 1, 2 * ROWS + 37])
 def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
     blocks = _head_outputs(head, n, sigma)
-    # one block of every batch entry's n rows: 3 anchor views, 2 view pairs or 3n feature rows
-    monkeypatch.setattr("mvcl.loss.ROWS", 3 * n)
+    # one block of every batch entry's n rows: 3 anchor views, 2 view pairs, or up to 3n
+    # feature rows against each of the 3 candidate views
+    monkeypatch.setattr("mvcl.loss.ROWS", 9 * n)
     whole = _head_outputs(head, n, sigma)
     for got, want in zip(blocks, whole):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -407,9 +426,10 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
 @pytest.mark.parametrize("V", [2, 3, 4])
 @pytest.mark.parametrize("rows_per_entry, blocks", [(ROWS, 1), (4, 5)])
 def test_heads_run_every_view_pair_in_one_batched_block(monkeypatch, V, rows_per_entry, blocks):
-    # One softmax call per block of rows, whatever V is: the sample head's V anchor views and
-    # the recovery head's V(V-1) ordered view pairs are each one batch, ROWS rows shared over it.
-    # The sample head fills its block with 2-D cosine_logits calls, one per anchor view.
+    # One softmax call per block of rows, whatever V is: the sample head's V anchor views, the
+    # recovery head's V(V-1) ordered view pairs and the feature head's V candidate views are each
+    # one batch, ROWS rows shared over it. The sample head fills its block with 2-D cosine_logits
+    # calls, one per anchor view.
     n = 18
     X, Y, Fmats = _recovery_inputs(95, V, n=n, D=8, d=3)
     xents, cosines = [], []
@@ -433,6 +453,14 @@ def test_heads_run_every_view_pair_in_one_batched_block(monkeypatch, V, rows_per
     monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V * (V - 1))
     _recovery(X, Y, Fmats, SIGMA, want_dY=True, want_dF=True)
     assert len(xents) == blocks and {s[:2] for s in xents} == {(V, V - 1)}
+    # the feature head's V*d anchor rows (m, k), each against the d rows of every view
+    monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V)
+    d = Y.shape[1]
+    for include_self_view in (True, False):
+        xents.clear()
+        _feature_head(Y, SIGMA, include_self_view, grad=True)
+        assert len(xents) == -(-V * d // rows_per_entry) and sum(s[1] for s in xents) == V * d
+        assert {(s[0], s[2]) for s in xents} == {(V, d)}
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +545,20 @@ def test_hyperparams_validation():
 def test_hyperparams_reject_nonfinite(field, value):
     with pytest.raises(ValueError):
         HyperParams(d=2, **{field: value})
+
+
+@pytest.mark.parametrize("head", ["sample", "feature", "recovery"])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0, 1e-320])
+def test_losses_reject_the_temperatures_hyperparams_rejects(head, sigma):
+    ds, P, F = random_instance(12, V=2, n=4, dims=(4, 3), d=2)
+    with pytest.raises(ValueError):
+        HyperParams(d=2, sigma1=sigma)
+    with pytest.raises(ValueError):
+        {
+            "sample": lambda: sample_level_loss(P, ds, sigma),
+            "feature": lambda: feature_level_loss(P, ds, sigma),
+            "recovery": lambda: recovery_level_loss(P, F, ds, sigma),
+        }[head]()
 
 
 def test_shape_mismatch_raises_dim_error():

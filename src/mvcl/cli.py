@@ -35,6 +35,7 @@ from .optim import (
     config_section,
     config_to_dict,
     load_model,
+    read_json,
     save_model,
     train,
 )
@@ -45,8 +46,7 @@ CONFIG_SCHEMA_VERSION = 1
 
 def _read_config(path: str | Path) -> tuple[TrainConfig, bool, bool]:
     """A ``--config`` file: (cfg, center, unit_variance); unknown keys are rejected."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ValueError("config must be a JSON object declaring schema_version = 1")
     unknown = set(obj) - {"schema_version", "hyper", "adam", "train", "preprocess"}
@@ -233,6 +233,11 @@ def _load_data_dir(dirpath: str | Path, header: bool) -> MultiViewDataset:
 def _cmd_benchmark(args) -> int:
     if args.train_seed < 0:  # the split seed --seed may be negative, so name the flag
         raise ValueError(f"--train-seed must be >= 0, got {args.train_seed}")
+    out = Path(args.out)  # checked here, so that a bad path fails before the fits, not after them
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
     ds = _load_data_dir(args.data, args.header)
     plan = SplitPlan(M=args.M, repeats=args.repeats, seed=args.seed)
     sweep = list(_parse_int_list(args.d_sweep, "--d-sweep")) if args.d_sweep else default_d_sweep(ds.dims)
@@ -252,7 +257,6 @@ def _cmd_benchmark(args) -> int:
     if ablation is not None:
         payload["ablation"] = report_to_dict(ablation)
 
-    out = Path(args.out)
     with open(out, "w", newline="") as fh:
         fh.write(csv_text)
     _write_json(out.with_suffix(".json"), payload)

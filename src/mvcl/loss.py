@@ -146,12 +146,6 @@ def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
             raise DimError(f"recovery {m} has shape {a.shape}, expected ({d}, {D})")
 
 
-def floored_col_norms(A: np.ndarray) -> np.ndarray:
-    # Column norms over the second-to-last axis, floored. np.linalg.norm(A,
-    # axis=-2) computes exactly this, behind microseconds of argument handling.
-    return np.maximum(np.sqrt(np.add.reduce(A * A, axis=-2)), NORM_FLOOR)
-
-
 # Anchor rows per logit block, summed over a batch of B blocks side by side:
 # each of them holds max(1, ROWS // B) rows. A head's memory then grows with
 # n, not n², and the exp, sum and divide passes run over ROWS x kn logits
@@ -169,7 +163,7 @@ def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float, out: np.ndarray 
     """All-pairs temperature-scaled cosines of unit columns: S = Ah^T (Bh / sigma), into ``out`` if given.
 
     A 2-D logit block of the sample head, whose batched block is filled one anchor
-    view at a time; its callers normalise every column once (:func:`floored_col_norms`).
+    view at a time; its caller normalises every column once (:func:`_unit_columns`).
     """
     return np.matmul(Ah.T, Bh / sigma, out=out)
 
@@ -258,55 +252,10 @@ def _accumulate(acc, part: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _unit_contrast(Ah: np.ndarray, Bh: np.ndarray, sigma: float, k: int, grad: bool):
-    """``contrast`` on a batch of unit columns, Ah (b, D, n) against Bh (b, D, kn): (summed loss,
-    d/dAh, d/dBh), not pulled back through the norms. Each block is b x c x kn, c = ROWS // b rows."""
-    b, _, n = Ah.shape
-    c = max(1, ROWS // b)
-    # The 1/n of the mean and the 1/sigma of the logits go on the small factors.
-    scale = 1.0 / (n * sigma)
-    total, dB = 0.0, None
-    dA = np.empty(Ah.shape) if grad else None
-    for r0 in range(0, n, c):
-        rows = slice(r0, r0 + c)
-        A = Ah[:, :, rows]
-        S = np.empty((b, A.shape[2], Bh.shape[2]))
-        for a in range(b):
-            cosine_logits(A[a], Bh[a], sigma, out=S[a])
-        loss, E, inv = _xent(S, sigma, k, grad, r0)
-        total += loss
-        if grad:
-            inv = inv[:, None, :] * scale
-            np.matmul(Bh, E.swapaxes(1, 2), out=dA[:, :, rows])
-            dA[:, :, rows] *= inv
-            dB = _accumulate(dB, (A * inv) @ E)
-        del S, E  # so that the next block is formed after this one is freed
-    return total / n, dA, dB
-
-
-def contrast(A: np.ndarray, B: np.ndarray, sigma: float, k: int = 1, grad: bool = False):
-    """Softmax cross-entropy over temperature-scaled cosines, the sample head's kernel.
-
-    The anchors are the n columns of A; the candidates are the k*n columns of
-    B, read as k side-by-side blocks of n, and the positives of anchor i are
-    column i of every block. With S = cosine_logits(Ah, Bh, sigma) on the unit
-    columns the loss is the mean over i of
-
-        log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]).
-
-    Returns (loss, dA, dB), the gradients None without ``grad``. A and B are normalised
-    once, and S is formed ROWS anchors at a time: one ROWS x kn block is alive.
-    """
-    (Ah, na), (Bh, nb) = _unit_columns(A), _unit_columns(B)
-    loss, dA, dB = _unit_contrast(Ah[None], Bh[None], sigma, k, grad)
-    if not grad:
-        return loss, None, None
-    return loss, _through_norm(dA[0], Ah, na, 1.0), _through_norm(dB[0], Bh, nb, 1.0)
-
-
 def _unit_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A / ||a_i||, ||a_i||) over the last two axes, norms floored: an array's unit columns, formed once."""
-    norms = floored_col_norms(A)
+    # np.linalg.norm(A, axis=-2) computes these norms, behind microseconds of argument handling.
+    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=-2)), NORM_FLOOR)
     return A / norms[..., None, :], norms
 
 
@@ -347,15 +296,35 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
     there are negatives, and same-view pairs never enter. The V anchor views are
-    one batch; the candidates' gradients are scattered back onto their views, and
-    each view's gradient is pulled back through its norm once.
+    one batch: each block holds ROWS // V rows of every anchor view, V x c x (V-1)n
+    logits, and 1/(n sigma) is applied to the small factors, never to the block.
+    The candidates' gradients are scattered back onto their views, and each
+    view's gradient is pulled back through its norm once.
     """
     V, d, n = Yh.shape
     B = _pairs(Yh).swapaxes(1, 2).reshape(V, d, (V - 1) * n)
-    total, dA, dB = _unit_contrast(Yh, B, sigma, V - 1, grad)
-    if grad:
-        dA += _to_views(dB.reshape(V, d, V - 1, n).swapaxes(1, 2))
-    return total, _through_norm(dA, Yh, ny, 1.0) if grad else None
+    c = max(1, ROWS // V)
+    scale = 1.0 / (n * sigma)
+    total, dB = 0.0, None
+    dY = np.empty(Yh.shape) if grad else None
+    for r0 in range(0, n, c):
+        rows = slice(r0, r0 + c)
+        A = Yh[:, :, rows]
+        S = np.empty((V, A.shape[2], B.shape[2]))
+        for a in range(V):
+            cosine_logits(A[a], B[a], sigma, out=S[a])
+        loss, E, inv = _xent(S, sigma, V - 1, grad, r0)
+        total += loss
+        if grad:
+            inv = inv[:, None, :] * scale
+            np.matmul(B, E.swapaxes(1, 2), out=dY[:, :, rows])
+            dY[:, :, rows] *= inv
+            dB = _accumulate(dB, (A * inv) @ E)
+        del S, E  # so that the next block is formed after this one is freed
+    if not grad:
+        return total / n, None
+    dY += _to_views(dB.reshape(V, d, V - 1, n).swapaxes(1, 2))
+    return total / n, _through_norm(dY, Yh, ny, 1.0)
 
 
 def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bool = False):

@@ -289,6 +289,22 @@ def _stats_from_dict(obj, dims: list[int]) -> FeatureStats | None:
     )
 
 
+def _matrices(obj: dict, key: str) -> tuple[np.ndarray, ...]:
+    """A model's ``P`` or ``F``: a list of matrices, each a list of equal-length rows of numbers.
+
+    A bool is no number, as in the preprocessing record.
+    """
+    mats = obj[key]
+    if not isinstance(mats, list) or not all(
+        isinstance(rows, list)
+        and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
+        and all(_json_type_ok(x, "float") for r in rows for x in r)
+        for rows in mats
+    ):
+        raise TypeError(f"'{key}' must be a list of matrices, each a list of equal-length rows of numbers")
+    return tuple(np.array(rows, dtype=float) for rows in mats)
+
+
 def save_model(
     path: str | Path,
     P: ProjectionSet,
@@ -312,16 +328,24 @@ def save_model(
         fh.write("\n")
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; nesting too deep for the parser is a ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def load_model(path: str | Path):
     """Read a model file back into (P, F, stats, cfg)."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     schema = obj.get("schema_version") if isinstance(obj, dict) else None
     if schema != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {schema!r}")
     try:
-        P = ProjectionSet(tuple(np.array(a, dtype=float) for a in obj["P"]))
-        F = RecoverySet(tuple(np.array(a, dtype=float) for a in obj["F"]))
+        P = ProjectionSet(_matrices(obj, "P"))
+        F = RecoverySet(_matrices(obj, "F"))
         stats = _stats_from_dict(obj["preprocessing"], [a.shape[0] for a in P.mats])
         cfg = config_from_dict(obj["config"])
         recorded = [a.shape[0] for a in P.mats] == list(obj["dims"]) and P.d == obj["d"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mvcl.evaluate
 from mvcl import (
     AdamParams,
     HyperParams,
@@ -269,6 +270,10 @@ def _with_stats(**changes):
     (_with_stats(stds=[[1.0] * 12, None]), "'preprocessing.stds' must be 2 lists"),
     (_with_stats(stds=5), "'preprocessing.stds' must be 2 lists"),
     (MODEL | {"config": MODEL["config"] | {"seed": -1}}, "seed must be >= 0, got -1"),
+    (MODEL | {"P": [[[1.0]] * 11 + [[1.0, 2.0]], [[1.0]] * 10]}, "malformed model file: 'P' must be a list"),
+    (MODEL | {"P": [[[True]] * 12, [[1.0]] * 10]}, "malformed model file: 'P' must be"),
+    (MODEL | {"F": [[["1.0"] * 12], [[1.0] * 10]]}, "malformed model file: 'F' must be"),
+    (MODEL | {"F": 5}, "malformed model file: 'F' must be"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -279,6 +284,23 @@ def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, mes
                    "--train-views", views, "--train-labels", labels) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_deeply_nested_json_exits_2(synth_dir, tmp_path, capsys, command):
+    # deeper than the JSON parser's recursion limit: a model file, or a config file's 'hyper'
+    path = tmp_path / "deep.json"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text(deep if command == "eval" else f'{{"schema_version": 1, "hyper": {deep}}}')
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    labels = str(synth_dir / "labels.csv")
+    argv = {
+        "eval": ["--model", str(path), "--views", views, "--labels", labels,
+                 "--train-views", views, "--train-labels", labels],
+        "train": ["--views", views, "--config", str(path), "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
 
 def test_eval_model_with_preprocessing_record(synth_dir, tmp_path, capsys):
@@ -415,6 +437,21 @@ def test_benchmark_io_failure_exits_3(synth_dir, tmp_path):
     assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4",
                    "--repeats", "1", "--d-sweep", "3", "--max-iters", "5",
                    "--out", str(missing)) == 3
+
+
+@pytest.mark.parametrize("where", ["a directory", "under a missing directory"])
+def test_benchmark_checks_out_before_the_first_fit(synth_dir, tmp_path, capsys, monkeypatch, where):
+    fits, train = [], mvcl.evaluate.train
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mvcl.evaluate, "train", counted)
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "rep.csv"
+    assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4", "--repeats", "1",
+                   "--d-sweep", "3", "--max-iters", "2", "--out", str(out)) == 3
+    assert capsys.readouterr().err.count("\n") == 1 and fits == []
 
 
 def test_benchmark_pure_noise_is_at_chance(tmp_path):

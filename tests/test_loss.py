@@ -27,9 +27,7 @@ from mvcl.loss import (
     _recovery_maps,
     _sample_head,
     _unit_columns,
-    contrast,
     cosine_logits,
-    floored_col_norms,
 )
 
 SIGMA = 0.1
@@ -48,8 +46,7 @@ def as_lists(ds, P, F=None):
 # ---------------------------------------------------------------------------
 
 def _unit(A):
-    A = np.asarray(A, dtype=float)
-    return A / floored_col_norms(A)
+    return _unit_columns(np.asarray(A, dtype=float))[0]
 
 
 def _cos(u, v, sigma):
@@ -81,6 +78,42 @@ def test_cosine_zero_vector_floored():
     z = _unit(np.zeros((3, 1)))
     assert np.array_equal(z, np.zeros((3, 1)))
     assert cosine_logits(z, _unit([[1.0], [0.0], [0.0]]), 0.1)[0, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a dense reference of the heads' softmax cross-entropy, apart from mvcl.loss
+# ---------------------------------------------------------------------------
+
+def _pull_back(G, Ah, na):
+    """G w.r.t. the unit columns Ah = A / na as a gradient w.r.t. A; a floored norm is constant."""
+    return (G - Ah * ((Ah * G).sum(axis=0) * (na > NORM_FLOOR))) / na
+
+
+def _dense_contrast(A, B, sigma, k=1):
+    """(loss, dA, dB) of one softmax cross-entropy over temperature-scaled cosines, in one dense block.
+
+    The anchors are the n columns of A; the candidates are the k*n columns of
+    B, read as k side-by-side blocks of n, and the positives of anchor i are
+    column i of every block. With unit columns Ah, Bh (norms floored at
+    NORM_FLOOR) and S = Ah^T Bh / sigma, the loss is the mean over i of
+
+        log sum_j exp(S[i, j]) - log sum_b exp(S[i, b*n + i]),
+
+    and its gradient w.r.t. Ah^T Bh is the row softmax minus the positives'
+    softmax, divided by n sigma. Every head is a sum of such terms.
+    """
+    na, nb = (np.maximum(np.sqrt((M * M).sum(axis=0)), NORM_FLOOR) for M in (A, B))
+    Ah, Bh, n = A / na, B / nb, A.shape[1]
+    S = Ah.T @ Bh / sigma
+    S -= S.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(S).sum(axis=1))
+    i, pos = np.arange(n)[:, None], np.arange(n)[:, None] + n * np.arange(k)
+    Sp = S[i, pos]
+    lse_pos = np.logaddexp.reduce(Sp, axis=1)
+    G = np.exp(S - lse[:, None])
+    G[i, pos] -= np.exp(Sp - lse_pos[:, None])
+    G /= n * sigma
+    return np.mean(lse - lse_pos), _pull_back(Bh @ G.T, Ah, na), _pull_back(Ah @ G, Bh, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +192,10 @@ def _recovery(X, Y, Fmats, sigma, want_dY=False, want_dF=False):
 
 
 def _direct_recovery(X, Y, Fmats, sigma):
-    """The head as written: contrast x_i^m with the columns of Z = F_m^T Y^v, chain rule through Z."""
+    """The head as written: x_i^m against the columns of Z = F_m^T Y^v, chain rule through Z."""
     total, dY, dF = 0.0, [np.zeros_like(y) for y in Y], [np.zeros_like(f) for f in Fmats]
     for m, v in itertools.permutations(range(len(Y)), 2):
-        loss, _, dZ = contrast(X[m], Fmats[m].T @ Y[v], sigma, grad=True)
+        loss, _, dZ = _dense_contrast(X[m], Fmats[m].T @ Y[v], sigma)
         total += loss
         dF[m] += Y[v] @ dZ.T
         dY[v] += Fmats[m] @ dZ
@@ -277,12 +310,12 @@ def test_recovery_head_computes_only_what_is_asked(V, sigma):
 # ---------------------------------------------------------------------------
 
 def _per_pair_feature(Y, sigma, include_self_view):
-    """The head as written: one contrast of the rows of Y^m against the rows of Y^v per view pair."""
+    """The head as written: the rows of Y^m against the rows of Y^v, one dense contrast per view pair."""
     total, dY = 0.0, [np.zeros_like(y) for y in Y]
     for m, v in itertools.product(range(len(Y)), repeat=2):
         if v == m and not include_self_view:
             continue
-        loss, dA, dB = contrast(Y[m].T, Y[v].T, sigma, grad=True)
+        loss, dA, dB = _dense_contrast(Y[m].T, Y[v].T, sigma)
         total += loss
         dY[m] += dA.T
         dY[v] += dB.T
@@ -319,12 +352,12 @@ def test_feature_head_at_d1_is_exactly_zero(V, include_self_view, sigma):
 # ---------------------------------------------------------------------------
 
 def _per_anchor_sample(Y, sigma):
-    """The head as written: one contrast of each anchor view against the other views side by side."""
+    """The head as written: each anchor view against the other views side by side, one dense contrast each."""
     V, n = len(Y), Y[0].shape[1]
     total, dY = 0.0, [np.zeros_like(y) for y in Y]
     for a in range(V):
         rest = [v for v in range(V) if v != a]
-        loss, dA, dB = contrast(Y[a], np.hstack([Y[v] for v in rest]), sigma, k=V - 1, grad=True)
+        loss, dA, dB = _dense_contrast(Y[a], np.hstack([Y[v] for v in rest]), sigma, k=V - 1)
         total += loss
         dY[a] += dA
         for b, v in enumerate(rest):
@@ -382,6 +415,7 @@ def test_row_blocks_agree_with_one_block(monkeypatch, head, sigma, n):
 @pytest.mark.parametrize("n,blocks", [(1, 1), (ROWS, 1), (ROWS + 1, 2), (2 * ROWS + 37, 3)])
 @pytest.mark.parametrize("grad", [False, True])
 def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
+    # the sample head at V = 3, with ROWS rows of each anchor view per block
     anchors = []
 
     def counted(A, B, sigma, out=None):
@@ -389,9 +423,10 @@ def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
         return cosine_logits(A, B, sigma, out=out)
 
     monkeypatch.setattr("mvcl.loss.cosine_logits", counted)
-    rng = np.random.default_rng(n)
-    contrast(rng.standard_normal((3, n)), rng.standard_normal((3, 2 * n)), SIGMA, k=2, grad=grad)
-    assert len(anchors) == blocks and sum(anchors) == n
+    monkeypatch.setattr("mvcl.loss.ROWS", 3 * ROWS)
+    Y = np.random.default_rng(n).standard_normal((3, 3, n))
+    _sample_head(*_unit_columns(Y), SIGMA, grad=grad)
+    assert len(anchors) == 3 * blocks and sum(anchors) == 3 * n
 
 
 @pytest.mark.parametrize(

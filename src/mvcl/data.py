@@ -32,7 +32,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_view_matrix(x, name: str) -> np.ndarray:
-    m = np.array(x, dtype=float, order="C")
+    own = type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous and x.flags.owndata
+    m = x if own and not x.flags.writeable else np.array(x, dtype=float, order="C")
     if m.ndim != 2:
         raise ViewMismatch(f"{name} must be 2-D, got {m.ndim}-D")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -46,9 +47,9 @@ def _as_view_matrix(x, name: str) -> np.ndarray:
 class MultiViewDataset:
     """V feature matrices describing the same n samples.
 
-    ``views[m]`` has shape (D_m, n); labels, when present, hold one
-    non-negative class id per sample. Arrays are copied and made read-only,
-    so a dataset can be shared across threads.
+    ``views[m]`` has shape (D_m, n); labels, when present, hold one non-negative class
+    id per sample. Arrays are copied and made read-only, so a dataset can be shared across
+    threads; a float64, C-contiguous, read-only view that owns its data is adopted, not copied.
     """
 
     views: tuple[np.ndarray, ...]
@@ -84,8 +85,8 @@ class MultiViewDataset:
         return tuple(v.shape[0] for v in self.views)
 
     def take(self, idx: np.ndarray) -> "MultiViewDataset":
-        """Column subset applied consistently to every view (and labels)."""
-        views = [v[:, idx] for v in self.views]
+        """Column subset, by integer indices, applied consistently to every view (and labels)."""
+        views = [_frozen(v.take(idx, axis=1)) for v in self.views]
         labels = None if self.labels is None else self.labels[idx]
         return MultiViewDataset(tuple(views), labels)
 
@@ -134,7 +135,7 @@ def preprocess(
             w -= stats.means[m][:, None]
         if stats.unit_variance:
             w /= stats.stds[m][:, None]
-        out.append(w)
+        out.append(_frozen(w))
     return MultiViewDataset(tuple(out), ds.labels), stats
 
 
@@ -196,7 +197,8 @@ def synth_generate(spec: SynthSpec) -> MultiViewDataset:
 
     views = []
     for m, D in enumerate(spec.dims):
-        x = spec.noise_std * rng.standard_normal((D, n))
+        x = rng.standard_normal((D, n))
+        x *= spec.noise_std
         if sh:
             x[:sh, :] += mu_shared[:, labels]
         if sp:
@@ -204,7 +206,7 @@ def synth_generate(spec: SynthSpec) -> MultiViewDataset:
         for r in range(rd):
             if sh:  # copies of nothing stay pure noise
                 x[sh + sp + r, :] += mu_shared[r % sh, labels]
-        views.append(x)
+        views.append(_frozen(x))
     return MultiViewDataset(tuple(views), labels)
 
 

@@ -16,7 +16,8 @@ All three heads share one softmax cross-entropy, ``_xent``, giving the loss
 and the unnormalised gradient from one pass; it alone holds the exponential,
 the overflow rule (``SHIFT_ABOVE``) and the positives' layout. Per-view quantities
 carry a leading view axis: Y, its unit columns Yh (``_unit_columns``) and the
-recovery anchors W_m = F_m Xh^m are (V, d, n) whatever the D_m. Each head runs
+recovery anchors W_m = F_m (X^m / nx^m) are (V, d, n) whatever the D_m; the data X
+is read with its column norms nx, never held as a unit-column copy. Each head runs
 all its view pairs as one batched block: the sample head its V anchor views,
 the recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
@@ -205,7 +206,7 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     floor (the floor is constant there), then multiplies each column by
     scale / nx; ``scale`` is a number or one per column. In place.
     """
-    radial = (Xh * G).sum(axis=-2)
+    radial = np.add.reduce(Xh * G, axis=-2)
     radial *= nx > NORM_FLOOR
     G -= Xh * radial[..., None, :]
     G *= (scale / nx)[..., None, :]
@@ -225,18 +226,18 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
         S -= top
         pos -= top
         E = np.exp(S, out=S)
-        rs = E.sum(axis=-1)
+        rs = np.add.reduce(E, axis=-1)
         # exp of a positive far below its row maximum underflows: stay in logs.
         lpos = np.logaddexp.reduce(pos, axis=-1)
-        loss = float(np.log(rs).sum() - lpos.sum())
+        loss = float(np.add.reduce(np.log(rs), axis=None) - np.add.reduce(lpos, axis=None))
         pos, scale = np.exp(pos - lpos[..., None]), rs
     else:
         E = np.exp(S, out=S)
-        rs = E.sum(axis=-1)
+        rs = np.add.reduce(E, axis=-1)
         pos = E.take(pidx)
         # From E itself, so that a row whose only entry is its positive gives exactly 0.
-        scale = rs / pos.sum(axis=-1)
-        loss = float(np.log(scale).sum())
+        scale = rs / np.add.reduce(pos, axis=-1)
+        loss = float(np.add.reduce(np.log(scale), axis=None))
     if not grad:
         return loss, None, None
     # rs * (softmax over the row - softmax over the row's positives)
@@ -252,10 +253,15 @@ def _accumulate(acc, part: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _col_norms(A: np.ndarray) -> np.ndarray:
+    """||a_i|| over the last two axes, floored."""
+    # np.linalg.norm(A, axis=-2) computes these norms, behind microseconds of argument handling.
+    return np.maximum(np.sqrt(np.add.reduce(A * A, axis=-2)), NORM_FLOOR)
+
+
 def _unit_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A / ||a_i||, ||a_i||) over the last two axes, norms floored: an array's unit columns, formed once."""
-    # np.linalg.norm(A, axis=-2) computes these norms, behind microseconds of argument handling.
-    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=-2)), NORM_FLOOR)
+    norms = _col_norms(A)
     return A / norms[..., None, :], norms
 
 
@@ -267,9 +273,13 @@ def _stacked(left, right) -> np.ndarray:
     return out
 
 
-def _recovery_maps(Fmats, Xh) -> tuple[np.ndarray, np.ndarray]:
-    """(W, R): the recovery anchors W_m = F_m Xh^m (V, d, n) and Gram matrices R_m = F_m F_m^T (V, d, d)."""
-    return _stacked(Fmats, Xh), _stacked(Fmats, [f.T for f in Fmats])
+def _recovery_maps(Fmats, X, nx) -> tuple[np.ndarray, np.ndarray]:
+    """(W, R): the recovery anchors W_m = F_m (X^m / nx^m) (V, d, n), one view's X^m / nx^m
+    alive at a time, and the Gram matrices R_m = F_m F_m^T (V, d, d)."""
+    W = np.empty((len(Fmats), Fmats[0].shape[0], X[0].shape[1]))
+    for f, x, s, w in zip(Fmats, X, nx, W):
+        np.matmul(f, x / s, out=w)
+    return W, _stacked(Fmats, [f.T for f in Fmats])
 
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
@@ -283,11 +293,11 @@ def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
 
 
 def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
-    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, Xh, (W, R))."""
+    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, X, nx, (W, R)), X the dataset's own views."""
     Y = embeddings(P, ds)
     _check_recovery(F, P.d, ds)
-    Xh = [_unit_columns(x)[0] for x in ds.views]
-    return (Y, *_unit_columns(Y), Xh, _recovery_maps(F.mats, Xh))
+    nx = [_col_norms(x) for x in ds.views]
+    return (Y, *_unit_columns(Y), ds.views, nx, _recovery_maps(F.mats, ds.views, nx))
 
 
 def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = False):
@@ -363,12 +373,12 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, n) if grad else None
 
 
-def _recovery_head(Xh, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
+def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
     """Recovery loss, with d/dY (V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None).
 
-    Anchor x_i^m (unit columns Xh of fixed data) is contrasted with the columns
-    of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
-    All V(V-1) ordered pairs (m, v) are one batch, run in d-space: with yh =
+    Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the
+    columns of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
+    All V(V-1) ordered pairs (m, v) are one batch, run in d-space: with Xh = X / nx, yh =
     Y^v / ny, (W, R) = ``maps`` (W = F_m Xh, R = F_m F_m^T), nz = ||F_m^T yh|| =
     sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
     U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r =
@@ -401,15 +411,16 @@ def _recovery_head(Xh, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False,
                 for p in np.ndindex(V, V - 1):
                     WE[p] += part[p] @ E[p]
         if want_dF:
-            A = ((U @ E.swapaxes(2, 3)) * (c * inv)).sum(axis=1)
-            dF = [_accumulate(g, a @ x[:, r0 : r0 + rows].T) for g, a, x in zip(dF, A, Xh)]
+            A = np.add.reduce((U @ E.swapaxes(2, 3)) * (c * inv), axis=1)
+            cols = slice(r0, r0 + rows)  # this block's columns of Xh, formed for its one product
+            dF = [_accumulate(g, a @ (x[:, cols] / s[cols]).T) for g, a, x, s in zip(dF, A, X, nx)]
         del E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None
     r = np.add.reduce(U * WE, axis=2) * (nz > NORM_FLOOR)
     dY = _to_views((WE - R @ U * r[..., None, :]) * (c / (nz * _pairs(ny)))[..., None, :]) if want_dY else None
     if want_dF:
-        B = ((U * (c * r)[:, :, None, :]) @ U.swapaxes(2, 3)).sum(axis=1)
+        B = np.add.reduce((U * (c * r)[:, :, None, :]) @ U.swapaxes(2, 3), axis=1)
         dF = np.concatenate([g - b @ f for g, b, f in zip(dF, B, Fmats)], axis=1)
     return total / n, dY, dF if want_dF else None
 
@@ -453,8 +464,8 @@ def recovery_level_loss(
     views' embeddings must retain.
     """
     _check_temperature("sigma2", sigma2)
-    _, Yh, ny, Xh, maps = _point(P, F, ds)
-    return _recovery_head(Xh, maps, F.mats, Yh, ny, sigma2)[0]
+    _, Yh, ny, X, nx, maps = _point(P, F, ds)
+    return _recovery_head(X, nx, maps, F.mats, Yh, ny, sigma2)[0]
 
 
 def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, grad: bool = False):
@@ -471,13 +482,13 @@ def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, gra
     return value, dY
 
 
-def _f_head(Xh, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
+def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
     """beta * recovery, the one head that sees F; returns as ``_recovery_head`` does,
     and a zero beta skips it, giving 0 and zero gradients."""
     if hp.beta == 0.0:
         dY = np.zeros_like(Yh) if want_dY else None
         return 0.0, dY, np.zeros_like(np.hstack(Fmats)) if want_dF else None
-    value, dY, dF = _recovery_head(Xh, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
+    value, dY, dF = _recovery_head(X, nx, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
     return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None
 
 
@@ -485,5 +496,5 @@ def total_loss(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> float:
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
-    Y, Yh, ny, Xh, maps = _point(P, F, ds)
-    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(Xh, maps, F.mats, Yh, ny, hp)[0]
+    Y, Yh, ny, X, nx, maps = _point(P, F, ds)
+    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(X, nx, maps, F.mats, Yh, ny, hp)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
@@ -22,7 +23,8 @@ import numpy as np
 from .data import FeatureStats, MultiViewDataset
 from .errors import DimError, NumericDivergence
 from .grad import grad_wrt_P  # noqa: F401  (the benchmark's tracer rebinds this name)
-from .loss import HyperParams, ProjectionSet, RecoverySet, _f_head, _p_heads, _recovery_maps, _stacked, _unit_columns
+from .loss import HyperParams, ProjectionSet, RecoverySet, _col_norms, _f_head, _p_heads, _recovery_maps, _stacked
+from .loss import _unit_columns
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -65,8 +67,10 @@ def adam_step(
     if grad.shape != param.shape or state.m.shape != param.shape:
         raise DimError(f"shape mismatch: grad {grad.shape}, param {param.shape}, state {state.m.shape}")
     t = state.t + 1
-    m = ap.beta1 * state.m + (1.0 - ap.beta1) * grad
-    v = ap.beta2 * state.v + (1.0 - ap.beta2) * grad * grad
+    m = ap.beta1 * state.m  # the new moments, summed in place in the order b1 m + (1 - b1) g
+    m += (1.0 - ap.beta1) * grad
+    v = ap.beta2 * state.v
+    v += (1.0 - ap.beta2) * grad * grad
     m_hat = m / (1.0 - ap.beta1**t)
     v_hat = v / (1.0 - ap.beta2**t)
     new_param = param - ap.gamma * m_hat / (np.sqrt(v_hat) + ap.epsilon)
@@ -126,9 +130,9 @@ def train(
     gradient and the P-only heads' share of the next P step's gradient; after
     the F step only the recovery head runs again, at (P, F'), for d/dY alone;
     the last point's pass is value-only. Each per-point quantity is formed once:
-    X's unit columns per call, Y and its unit columns Yh per P, each one (V, d, n)
-    array (Yh reused at (P, F')), and W_m = F_m Xh^m and R_m = F_m F_m^T per F
-    (reused at (P', F')); each head runs all its view pairs as one batched block.
+    X's column norms nx per call (X is held once, as the dataset's views), Y and its unit
+    columns Yh per P, each one (V, d, n) array (Yh reused at (P, F')), and W_m = F_m (X^m / nx^m)
+    and R_m = F_m F_m^T per F (reused at (P', F')); each head runs all its view pairs as one batch.
     P and F are each one stacked array with one (entrywise) Adam state; a view's matrix is a slice.
 
     ``preprocessing`` is an optional record of upstream data decisions that
@@ -137,23 +141,23 @@ def train(
     while training surfaces as NumericDivergence, not as numpy warnings.
     """
     t0 = time.perf_counter()
-    hp, X, Xh = cfg.hp, ds.views, [_unit_columns(x)[0] for x in ds.views]
+    hp, X, nx = cfg.hp, ds.views, [_col_norms(x) for x in ds.views]
     P, F = init_params(ds.dims, hp.d, cfg.seed)
     p, f = np.vstack(P.mats), np.hstack(F.mats)
     blocks = [slice(end - D, end) for D, end in zip(ds.dims, accumulate(ds.dims))]
     pmats, fmats = [p[b] for b in blocks], [f[:, b] for b in blocks]
     fit_f = hp.beta != 0.0  # else F is out of the objective, and Adam would not move it
-    maps = _recovery_maps(fmats, Xh) if fit_f else None
+    maps = _recovery_maps(fmats, X, nx) if fit_f else None
 
     def full_pass(pmats, fmats, maps, grad=True):
         Y = _stacked([pm.T for pm in pmats], X)
         Yh, ny = _unit_columns(Y)
         value, dYp = _p_heads(Y, Yh, ny, hp, grad)
-        rvalue, _, dF = _f_head(Xh, maps, fmats, Yh, ny, hp, want_dF=grad and fit_f)
+        rvalue, _, dF = _f_head(X, nx, maps, fmats, Yh, ny, hp, want_dF=grad and fit_f)
         return value + rvalue, Yh, ny, dYp, dF
 
     loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericDivergence("initial loss is not finite", iteration=0)
     losses = [loss]
 
@@ -165,15 +169,15 @@ def train(
         if fit_f:
             f_state, f = adam_step(f_state, dF, f, cfg.adam)
             fmats = [f[:, b] for b in blocks]
-            maps = _recovery_maps(fmats, Xh)
-            dYp += _f_head(Xh, maps, fmats, Yh, ny, hp, want_dY=True)[1]
+            maps = _recovery_maps(fmats, X, nx)
+            dYp += _f_head(X, nx, maps, fmats, Yh, ny, hp, want_dY=True)[1]
         for x, g, b in zip(X, dYp, blocks):
             np.matmul(x, g.T, out=dP[b])
         p_state, p = adam_step(p_state, dP, p, cfg.adam)
         pmats = [p[b] for b in blocks]
 
         loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps, grad=it < cfg.max_iters)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericDivergence(f"loss diverged at iteration {it}", iteration=it)
         losses.append(loss)
         if abs(losses[-1] - losses[-2]) <= cfg.tol:
@@ -199,10 +203,12 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field; a bool is no number and a float no int."""
+    """Whether a JSON value fits a field; a bool is no number, a float no int, nor an int past float range a float."""
     if annotation == "bool" or isinstance(value, bool):
         return annotation == "bool" and isinstance(value, bool)
-    return isinstance(value, int) or (annotation == "float" and isinstance(value, float))
+    if isinstance(value, int):
+        return annotation != "float" or abs(value) <= sys.float_info.max
+    return annotation == "float" and isinstance(value, float)
 
 
 def config_section(sec, name: str, cls, *skip: str) -> dict:

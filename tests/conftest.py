@@ -1,5 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def peak_alloc(fn) -> int:
+    """The tracemalloc peak, in bytes, of the call fn(): what it allocates beyond its inputs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_csv(path, mat, fmt="%.17g"):

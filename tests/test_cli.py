@@ -315,6 +315,31 @@ def test_eval_model_with_preprocessing_record(synth_dir, tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+HUGE = 10**400  # a JSON integer, too large for a float
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("train", {"schema_version": 1, "hyper": {"d": 2, "alpha": HUGE}}, "'hyper.alpha'"),
+    ("train", {"schema_version": 1, "hyper": {"d": 2, "sigma1": HUGE}}, "'hyper.sigma1'"),
+    ("eval", MODEL | {"P": [[[HUGE]] + [[1.0]] * 11, [[1.0]] * 10]}, "'P'"),
+    ("eval", _with_stats(means=[[HUGE] + [0.0] * 11, [0.0] * 10]), "'preprocessing.means'"),
+    ("eval", MODEL | {"config": MODEL["config"] | {"adam": {"gamma": HUGE}}}, "'config.adam.gamma'"),
+], ids=["config-alpha", "config-sigma1", "model-P", "model-means", "model-gamma"])
+def test_integer_past_float_range_exits_2(synth_dir, tmp_path, capsys, command, payload, key):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    labels = str(synth_dir / "labels.csv")
+    argv = {
+        "eval": ["--model", str(path), "--views", views, "--labels", labels,
+                 "--train-views", views, "--train-labels", labels],
+        "train": ["--views", views, "--config", str(path), "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------

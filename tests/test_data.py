@@ -21,6 +21,7 @@ from mvcl import (
     split_indices,
     synth_generate,
 )
+from conftest import peak_alloc
 
 rng = np.random.default_rng(1234)
 
@@ -58,6 +59,52 @@ def test_dataset_is_read_only():
     ds = MultiViewDataset((np.ones((2, 3)), np.ones((2, 3))))
     with pytest.raises(ValueError):
         ds.views[0][0, 0] = 5.0
+
+
+def _read_only_view(base):
+    view = base[:]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("make", [lambda base: base, _read_only_view], ids=["writable", "read-only view"])
+def test_dataset_copies_an_array_that_a_caller_can_still_write(make):
+    # Only an array that owns its data and is already read-only is adopted: no writable array reaches it.
+    base = np.arange(12.0).reshape(3, 4)
+    x = make(base)
+    writeable = x.flags.writeable
+    ds = MultiViewDataset((x, np.ones((2, 4))))
+    base[0, 0] = 99.0
+    assert ds.views[0][0, 0] == 0.0 and not np.shares_memory(ds.views[0], base)
+    assert x.flags.writeable == writeable and base.flags.writeable
+
+
+def test_dataset_adopts_a_frozen_array_and_still_checks_it():
+    x = np.ones((3, 4))
+    x.setflags(write=False)
+    assert MultiViewDataset((x, x)).views[0] is x
+    bad = np.ones((3, 4))
+    bad[1, 1] = np.nan
+    bad.setflags(write=False)
+    with pytest.raises(ValueError, match="non-finite"):
+        MultiViewDataset((bad, x))
+
+
+# Each builds its output's arrays once and hands them to the dataset as they are: measured
+# against one copy of the output, whose largest view adds a boolean finiteness mask (1/8).
+_SPEC = SynthSpec(classes=3, per_class=500, dims=(400, 300), seed=2)
+
+
+@pytest.mark.parametrize("step", ["synth_generate", "preprocess", "split"])
+def test_data_steps_peak_at_one_copy_of_their_output(step):
+    ds = synth_generate(_SPEC)
+    fn = {
+        "synth_generate": lambda: synth_generate(_SPEC),
+        "preprocess": lambda: preprocess(ds),
+        "split": lambda: split(ds, SplitPlan(M=10), 0),
+    }[step]
+    fn()  # first calls allocate numpy's own caches
+    assert peak_alloc(fn) < 1.25 * sum(v.nbytes for v in ds.views)
 
 
 # ---------------------------------------------------------------------------

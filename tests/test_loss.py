@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mvcl.loss
 import oracles as orc
+from conftest import peak_alloc
 from mvcl import (
     DimError,
     HyperParams,
@@ -22,6 +22,7 @@ from mvcl.grad import random_instance
 from mvcl.loss import (
     NORM_FLOOR,
     ROWS,
+    _col_norms,
     _feature_head,
     _recovery_head,
     _recovery_maps,
@@ -187,8 +188,8 @@ def _recovery_inputs(seed, V, n, D, d):
 
 def _recovery(X, Y, Fmats, sigma, want_dY=False, want_dF=False):
     """``_recovery_head`` at data X and embeddings Y (V, d, n), with the per-point quantities formed here."""
-    Xh = [_unit_columns(x)[0] for x in X]
-    return _recovery_head(Xh, _recovery_maps(Fmats, Xh), Fmats, *_unit_columns(Y), sigma, want_dY, want_dF)
+    nx = [_col_norms(x) for x in X]
+    return _recovery_head(X, nx, _recovery_maps(Fmats, X, nx), Fmats, *_unit_columns(Y), sigma, want_dY, want_dF)
 
 
 def _direct_recovery(X, Y, Fmats, sigma):
@@ -281,14 +282,9 @@ def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
 def test_recovery_head_keeps_one_logit_matrix_alive():
     n = 1500
     X, Y, Fmats = _recovery_inputs(42, 2, n=n, D=20, d=4)
-    Xh = [_unit_columns(x)[0] for x in X]
-    W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
-    tracemalloc.start()
-    try:
-        _recovery_head(Xh, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    nx = [_col_norms(x) for x in X]
+    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y)
+    peak = peak_alloc(lambda: _recovery_head(X, nx, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True))
     assert peak < 2 * n * n * 8
 
 
@@ -439,22 +435,17 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
     n, rows = 1500, 256
     monkeypatch.setattr("mvcl.loss.ROWS", rows)
     X, Y, Fmats = _recovery_inputs(42, V, n=n, D=20, d=4)
-    Xh = [_unit_columns(x)[0] for x in X]
-    W, Yn = _recovery_maps(Fmats, Xh), _unit_columns(Y)
-    tracemalloc.start()
-    try:
-        if head == "sample":
-            k = V - 1  # each anchor row spans the other views
-            _sample_head(*Yn, 0.1, grad=True)
-        elif head == "recovery":
-            k = 1
-            _recovery_head(Xh, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True)
-        else:
-            k = V  # n feature rows of 4 samples in each view: blocks of rows x Vn
-            _feature_head(Y.swapaxes(1, 2), 0.1, True, grad=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    nx = [_col_norms(x) for x in X]
+    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y)
+    if head == "sample":
+        k = V - 1  # each anchor row spans the other views
+        peak = peak_alloc(lambda: _sample_head(*Yn, 0.1, grad=True))
+    elif head == "recovery":
+        k = 1
+        peak = peak_alloc(lambda: _recovery_head(X, nx, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True))
+    else:
+        k = V  # n feature rows of 4 samples in each view: blocks of rows x Vn
+        peak = peak_alloc(lambda: _feature_head(Y.swapaxes(1, 2), 0.1, True, grad=True))
     assert peak < 1.5 * rows * k * n * 8
 
 

@@ -27,6 +27,7 @@ from mvcl import (
     train,
 )
 from mvcl.optim import config_from_dict, config_to_dict
+from conftest import peak_alloc
 
 
 def _train_instance(seed=7, dims=(8, 7)):
@@ -262,14 +263,14 @@ def test_zero_beta_leaves_recovery_maps_at_their_start():
 
 
 def test_train_forms_each_recovery_anchor_once_per_F(monkeypatch):
-    # W_m = F_m Xh^m depends on F alone: the pass after the F step forms it,
+    # W_m = F_m (X^m / nx^m) depends on F alone: the pass after the F step forms it,
     # and the full pass at the next point reuses it.
     seen = []
     inner = mvcl.loss._recovery_maps
 
-    def counted(Fmats, Xh):
+    def counted(Fmats, X, nx):
         seen.append(np.hstack(Fmats).copy())
-        return inner(Fmats, Xh)
+        return inner(Fmats, X, nx)
 
     monkeypatch.setattr("mvcl.loss._recovery_maps", counted)
     monkeypatch.setattr("mvcl.optim._recovery_maps", counted)
@@ -279,6 +280,17 @@ def test_train_forms_each_recovery_anchor_once_per_F(monkeypatch):
     assert rep.iterations == 4 and len(seen) == 5
     assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
     assert np.array_equal(seen[-1], np.hstack(F.mats))
+
+
+@pytest.mark.parametrize("call", ["train", "grad_wrt_P"])
+def test_training_holds_no_copy_of_the_data(call):
+    # High D, small n: X dominates. Beside it, train and the gradient hold X's column norms and,
+    # one view at a time, that view's unit columns for the recovery anchors: half of X at V = 2.
+    ds = synth_generate(SynthSpec(classes=4, per_class=100, dims=(1000, 1000), seed=1))
+    cfg = TrainConfig(hp=HyperParams(d=2), max_iters=2, tol=1e-300)
+    P, F = init_params(ds.dims, 2, 0)
+    fn = {"train": lambda: train(ds, cfg), "grad_wrt_P": lambda: grad_wrt_P(P, F, ds, cfg.hp)}[call]
+    assert peak_alloc(fn) < 0.75 * sum(v.nbytes for v in ds.views)
 
 
 def test_train_smoke_500_iters_stays_finite():

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .data import (
     FeatureStats,
     MultiViewDataset,
     SplitPlan,
-    SynthSpec,
     default_synth_spec,
     load_views,
     preprocess,
     save_views,
     synth_generate,
 )
-from .errors import DimError, MvclError, NumericDivergence
+from .errors import MvclError, NumericDivergence
 from .evaluate import accuracies, benchmark, default_d_sweep, report_to_csv, report_to_dict
 from .grad import finite_diff_check, grad_wrt_F, grad_wrt_P, random_instance
 from .loss import HyperParams, total_loss
@@ -38,6 +38,7 @@ from .optim import (
     read_json,
     save_model,
     train,
+    write_json,
 )
 
 GRADCHECK_BOUND = 1e-5
@@ -74,32 +75,25 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} must be a comma list of integers, got {text!r}") from None
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    base = default_synth_spec(seed=args.seed)
-    spec = SynthSpec(
-        classes=args.classes,
-        per_class=args.per_class,
-        dims=_parse_int_list(args.dims, "--dims") if args.dims else base.dims,
-        shared_dims=args.shared if args.shared is not None else base.shared_dims,
-        specific_dims=args.specific if args.specific is not None else base.specific_dims,
-        redundant_copies=args.redundant if args.redundant is not None else base.redundant_copies,
-        noise_std=args.noise,
-        seed=args.seed,
-    )
+    flags = {
+        "classes": args.classes,
+        "per_class": args.per_class,
+        "dims": _parse_int_list(args.dims, "--dims") if args.dims else None,
+        "shared_dims": args.shared,
+        "specific_dims": args.specific,
+        "redundant_copies": args.redundant,
+        "noise_std": args.noise,
+    }
+    spec = dataclasses.replace(default_synth_spec(seed=args.seed), **{k: v for k, v in flags.items() if v is not None})
     ds = synth_generate(spec)
     outdir = Path(args.out)
     written = save_views(ds, outdir)
-    _write_json(outdir / "spec.json", dataclasses.asdict(spec) | {"schema_version": 1})
+    write_json(outdir / "spec.json", dataclasses.asdict(spec) | {"schema_version": 1})
     print(f"wrote {len(written) + 1} files to {outdir} (n={ds.n}, dims={list(ds.dims)})")
     return 0
 
@@ -134,14 +128,13 @@ def _cmd_train(args) -> int:
     paths = [p for p in args.views.split(",") if p]
     ds = load_views(paths, header=args.header)
     cfg, center, unit_variance = _merged_train_config(args)
-    pre_record = {"center": center, "unit_variance": unit_variance}
     ds_p, stats = preprocess(ds, center, unit_variance)
-    P, F, report = train(ds_p, cfg, preprocessing=pre_record)
+    P, F, report = train(ds_p, cfg)
 
     out = Path(args.out)
     save_model(out, P, F, stats, cfg)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
-    _write_json(
+    write_json(
         report_path,
         {
             "schema_version": 1,
@@ -151,7 +144,7 @@ def _cmd_train(args) -> int:
             "iterations": report.iterations,
             "converged": report.converged,
             "losses": list(report.losses),
-            "preprocessing": report.preprocessing,
+            "preprocessing": {"center": center, "unit_variance": unit_variance},
             "config": config_to_dict(cfg),
             "wall_ms": report.wall_ms,
         },
@@ -171,8 +164,7 @@ def _cmd_eval(args) -> int:
     P, _, stats, _ = load_model(args.model)
     gallery = load_views(args.train_views.split(","), args.train_labels, header=args.header)
     query = load_views(args.views.split(","), args.labels, header=args.header)
-    if gallery.dims != tuple(a.shape[0] for a in P.mats):
-        raise DimError(f"model dims {[a.shape[0] for a in P.mats]} do not match data dims {list(gallery.dims)}")
+    P.check(gallery, P.d)  # before the stats are applied, so that the message names the projection
     if stats is not None:
         gallery, _ = preprocess(gallery, stats=stats)
         query, _ = preprocess(query, stats=stats)
@@ -259,7 +251,7 @@ def _cmd_benchmark(args) -> int:
 
     with open(out, "w", newline="") as fh:
         fh.write(csv_text)
-    _write_json(out.with_suffix(".json"), payload)
+    write_json(out.with_suffix(".json"), payload)
 
     for row in report.rows:
         line = f"{row.label:>6}  {row.mean_acc:6.2f} +- {row.std_acc:5.2f}  (d={row.d})"
@@ -282,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", type=int, default=20)
+    p.add_argument("--classes", type=int, default=None)
+    p.add_argument("--per-class", type=int, default=None)
     p.add_argument("--dims", type=str, default=None, help="comma list of per-view dims")
     p.add_argument("--shared", type=int, default=None, help="dims shared across views")
     p.add_argument("--specific", type=int, default=None, help="view-specific signal dims")
     p.add_argument("--redundant", type=int, default=None, help="duplicated shared dims")
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_synth)
@@ -355,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # non-finite results are checked
+            return args.func(args)
     except NumericDivergence as e:
         print(f"error: {e} (iteration {e.iteration})", file=sys.stderr)
         return 4

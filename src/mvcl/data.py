@@ -212,16 +212,7 @@ def synth_generate(spec: SynthSpec) -> MultiViewDataset:
 
 def default_synth_spec(seed: int = 0) -> SynthSpec:
     """The stock generator configuration used by the CLI and benchmarks."""
-    return SynthSpec(
-        classes=3,
-        per_class=20,
-        dims=(20, 20),
-        shared_dims=4,
-        specific_dims=4,
-        redundant_copies=4,
-        noise_std=1.0,
-        seed=seed,
-    )
+    return SynthSpec(classes=3, per_class=20, dims=(20, 20), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -277,43 +268,29 @@ def split(
     return ds.take(train_idx), ds.take(test_idx)
 
 
-def _read_matrix_csv(path: str | Path, header: bool = False) -> np.ndarray:
-    """Read a samples x features CSV into a float matrix."""
-    rows: list[list[float]] = []
+def _read_rows(path: str | Path, kind: type = float, header: bool = False) -> np.ndarray:
+    """A CSV file's data rows as the columns of one frozen (width, rows) array of ``kind`` (float or int).
+
+    The rules of view and labels files alike: blank rows are skipped, and so is
+    the first row with ``header``; a cell that ``kind`` does not parse, or a row
+    wider or narrower than the first, raises ParseError naming the file and row;
+    a file without data rows raises EmptyInput. Each row becomes an array as it
+    is read, so the values are held at most twice, never as Python numbers.
+    """
+    rows: list[np.ndarray] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
-            if header and r == 0:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for r, row in enumerate(csv.reader(fh)):
+            if (header and r == 0) or not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                rows.append([float(c) for c in row])
-            except ValueError as e:
+                rows.append(np.fromiter(map(kind, row), kind, len(row)))
+            except (ValueError, OverflowError) as e:  # an int past int64 overflows
                 raise ParseError(f"{path}: row {r + 1}: {e}") from None
+            if len(row) != len(rows[0]):
+                raise ParseError(f"{path}: row {r + 1} has {len(row)} columns, expected {len(rows[0])}")
     if not rows:
         raise EmptyInput(f"{path}: no data rows")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {r + 1} has {len(row)} columns, expected {width}")
-    return np.array(rows, dtype=float)
-
-
-def _read_labels(path: str | Path) -> np.ndarray:
-    out = []
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                out.append(int(s))
-            except ValueError:
-                raise ParseError(f"{path}: line {r + 1}: not an integer: {s!r}") from None
-    if not out:
-        raise EmptyInput(f"{path}: no labels")
-    return np.array(out, dtype=np.int64)
+    return _frozen(np.stack(rows, axis=1))
 
 
 def load_views(
@@ -323,22 +300,24 @@ def load_views(
 ) -> MultiViewDataset:
     """Load one CSV per view (rows = samples) into a dataset.
 
-    All files must agree on the row count; the matrices are transposed into
-    the internal features x samples layout.
+    All files must agree on the row count; each file is read straight into the
+    internal features x samples layout, which the dataset adopts, and a labels
+    file holds one integer per row.
     """
     if len(paths) < 2:
         raise ViewMismatch(f"need at least two view files, got {len(paths)}")
-    mats = [_read_matrix_csv(p, header=header) for p in paths]
-    n = mats[0].shape[0]
+    mats = [_read_rows(p, header=header) for p in paths]
+    n = mats[0].shape[1]
     for p, m in zip(paths, mats):
-        if m.shape[0] != n:
-            raise ViewMismatch(f"{p}: {m.shape[0]} rows, expected {n}")
+        if m.shape[1] != n:
+            raise ViewMismatch(f"{p}: {m.shape[1]} rows, expected {n}")
     labels = None
     if labels_path is not None:
-        labels = _read_labels(labels_path)
-        if labels.shape[0] != n:
-            raise ViewMismatch(f"{labels_path}: {labels.shape[0]} labels for {n} samples")
-    return MultiViewDataset(tuple(m.T for m in mats), labels)
+        labels = _read_rows(labels_path, int)
+        if labels.shape != (1, n):
+            raise ViewMismatch(f"{labels_path}: {labels.shape[1]} rows of {labels.shape[0]} labels, expected {n} rows of 1")
+        labels = labels[0]
+    return MultiViewDataset(tuple(mats), labels)
 
 
 def save_views(ds: MultiViewDataset, outdir: str | Path) -> list[Path]:

@@ -114,11 +114,9 @@ def _one_repeat(
     plan: SplitPlan,
     r: int,
     sweep: list[int],
-    center: bool,
-    unit_variance: bool,
 ) -> dict[int, dict[str, float]]:
     train_ds, test_ds = split(ds, plan, r)
-    train_p, stats = preprocess(train_ds, center, unit_variance)
+    train_p, stats = preprocess(train_ds)
     test_p, _ = preprocess(test_ds, stats=stats)
     out: dict[int, dict[str, float]] = {}
     for d in sweep:
@@ -132,11 +130,11 @@ def benchmark(
     cfg: TrainConfig,
     plan: SplitPlan,
     d_sweep: list[int] | None = None,
-    center: bool = True,
-    unit_variance: bool = False,
 ) -> BenchmarkReport:
     """Repeated-split 1-NN benchmark over a grid of subspace dimensions.
 
+    Each repeat centres its training split's features, without scaling them
+    (``preprocess``' defaults), and applies the same means to its test split.
     Each row reports the maximum over the grid of the across-repeat mean
     accuracy, with the population std at that grid point. Repeats are
     independent and may run in parallel (MVCL_THREADS); results do not
@@ -153,7 +151,7 @@ def benchmark(
 
     def run(r: int) -> dict[int, dict[str, float]]:
         try:
-            return _one_repeat(ds, cfg, plan, r, sweep, center, unit_variance)
+            return _one_repeat(ds, cfg, plan, r, sweep)
         except Exception as e:
             raise BenchmarkError(f"repeat {r} failed: {e}") from e
 
@@ -179,8 +177,8 @@ def benchmark(
         "repeats": plan.repeats,
         "split_seed": plan.seed,
         "d_sweep": sweep,
-        "center": center,
-        "unit_variance": unit_variance,
+        "center": True,
+        "unit_variance": False,
         "std": "population",
         "train": config_to_dict(cfg),
     }
@@ -193,25 +191,15 @@ def report_to_csv(
     """CSV table (label, mean_acc, std_acc), plus paired columns if ablated."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    if ablation is None:
-        w.writerow(["label", "mean_acc", "std_acc"])
-        for row in report.rows:
-            w.writerow([row.label, repr(row.mean_acc), repr(row.std_acc)])
-    else:
-        by_label = {r.label: r for r in ablation.rows}
-        w.writerow(["label", "mean_acc", "std_acc", "ablation_mean_acc", "ablation_std_acc", "diff_mean"])
-        for row in report.rows:
+    paired = ["ablation_mean_acc", "ablation_std_acc", "diff_mean"] if ablation is not None else []
+    w.writerow(["label", "mean_acc", "std_acc", *paired])
+    by_label = {r.label: r for r in ablation.rows} if ablation is not None else {}
+    for row in report.rows:
+        values = [row.mean_acc, row.std_acc]
+        if ablation is not None:
             ab = by_label[row.label]
-            w.writerow(
-                [
-                    row.label,
-                    repr(row.mean_acc),
-                    repr(row.std_acc),
-                    repr(ab.mean_acc),
-                    repr(ab.std_acc),
-                    repr(row.mean_acc - ab.mean_acc),
-                ]
-            )
+            values += [ab.mean_acc, ab.std_acc, row.mean_acc - ab.mean_acc]
+        w.writerow([row.label, *map(repr, values)])
     return buf.getvalue()
 
 

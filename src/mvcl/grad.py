@@ -61,6 +61,8 @@ def finite_diff_check(
     analytic = np.asarray(analytic, dtype=float)
     if analytic.shape != param.shape:
         raise DimError(f"analytic gradient shape {analytic.shape} != parameter shape {param.shape}")
+    if not np.isfinite(analytic).all():  # else a NaN entry would pass: it compares below no bound
+        raise NumericError("analytic gradient is not finite")
     worst = 0.0
     it = np.nditer(param, flags=["multi_index"])
     for _ in it:

@@ -76,75 +76,69 @@ def _check_temperature(name: str, sigma: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, with a finite reciprocal")
 
 
-def _check_mats(mats, what: str) -> tuple[np.ndarray, ...]:
-    out = []
-    for m, a in enumerate(mats):
-        a = np.array(a, dtype=float)
-        if a.ndim != 2:
-            raise DimError(f"{what} {m} must be 2-D")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{what} {m} contains non-finite entries")
-        a.setflags(write=False)
-        out.append(a)
-    if not out:
-        raise DimError(f"no {what} matrices given")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class ProjectionSet:
+class _ViewMatrices:
+    """One checked matrix per view, each with d along axis ``AXIS`` and D_m along the other.
+
+    The matrices are copied as float64 and made read-only. A matrix that is not
+    2-D or has a non-finite entry, an empty set, or a d that differs between
+    views raises, naming the matrix (``WHAT``) and its view.
+    """
+
+    mats: tuple[np.ndarray, ...]
+    WHAT, AXIS = "", 0
+
+    def __post_init__(self):
+        mats = []
+        for m, a in enumerate(self.mats):
+            a = np.array(a, dtype=float)
+            if a.ndim != 2:
+                raise DimError(f"{self.WHAT} {m} must be 2-D")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{self.WHAT} {m} contains non-finite entries")
+            a.setflags(write=False)
+            mats.append(a)
+        if not mats:
+            raise DimError(f"no {self.WHAT} matrices given")
+        d = mats[0].shape[self.AXIS]
+        for m, a in enumerate(mats):
+            if a.shape[self.AXIS] != d:
+                raise DimError(f"{self.WHAT} {m} has d = {a.shape[self.AXIS]}, expected {d}")
+        object.__setattr__(self, "mats", tuple(mats))
+
+    @property
+    def V(self) -> int:
+        return len(self.mats)
+
+    @property
+    def d(self) -> int:
+        return self.mats[0].shape[self.AXIS]
+
+    def check(self, ds: MultiViewDataset, d: int) -> None:
+        """Raise DimError unless the set holds one matrix per view of ``ds``, with d = ``d`` and D_m = the view's features."""
+        if self.V != ds.V:
+            raise DimError(f"{self.V} {self.WHAT} matrices for {ds.V} views")
+        for m, (a, D) in enumerate(zip(self.mats, ds.dims)):
+            want = (D, d) if self.AXIS else (d, D)
+            if a.shape != want:
+                raise DimError(f"{self.WHAT} {m} has shape {a.shape}, expected {want}")
+
+
+class ProjectionSet(_ViewMatrices):
     """One D_m x d projection per view; columns span the shared subspace."""
 
-    mats: tuple[np.ndarray, ...]
+    WHAT, AXIS = "projection", 1
 
     def __post_init__(self):
-        mats = _check_mats(self.mats, "projection")
-        d = mats[0].shape[1]
-        if d < 1:
+        super().__post_init__()
+        if self.d < 1:
             raise DimError("projections need at least one column")
-        for m, a in enumerate(mats):
-            if a.shape[1] != d:
-                raise DimError(f"projection {m} has {a.shape[1]} columns, expected {d}")
-        object.__setattr__(self, "mats", mats)
-
-    @property
-    def V(self) -> int:
-        return len(self.mats)
-
-    @property
-    def d(self) -> int:
-        return self.mats[0].shape[1]
 
 
-@dataclass(frozen=True)
-class RecoverySet:
+class RecoverySet(_ViewMatrices):
     """One d x D_m map per view, from the subspace back to ambient space."""
 
-    mats: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = _check_mats(self.mats, "recovery")
-        d = mats[0].shape[0]
-        for m, a in enumerate(mats):
-            if a.shape[0] != d:
-                raise DimError(f"recovery {m} has {a.shape[0]} rows, expected {d}")
-        object.__setattr__(self, "mats", mats)
-
-    @property
-    def V(self) -> int:
-        return len(self.mats)
-
-    @property
-    def d(self) -> int:
-        return self.mats[0].shape[0]
-
-
-def _check_recovery(F: RecoverySet, d: int, ds: MultiViewDataset) -> None:
-    if F.V != ds.V:
-        raise DimError(f"{F.V} recovery maps for {ds.V} views")
-    for m, (a, D) in enumerate(zip(F.mats, ds.dims)):
-        if a.shape != (d, D):
-            raise DimError(f"recovery {m} has shape {a.shape}, expected ({d}, {D})")
+    WHAT, AXIS = "recovery", 0
 
 
 # Anchor rows per logit block, summed over a batch of B blocks side by side:
@@ -284,18 +278,14 @@ def _recovery_maps(Fmats, X, nx) -> tuple[np.ndarray, np.ndarray]:
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
     """Per-view subspace embeddings P_m^T X^m, stacked: (V, d, n)."""
-    if P.V != ds.V:
-        raise DimError(f"{P.V} projections for {ds.V} views")
-    for m, (a, D) in enumerate(zip(P.mats, ds.dims)):
-        if a.shape[0] != D:
-            raise DimError(f"projection {m} has {a.shape[0]} rows, view has {D} features")
+    P.check(ds, P.d)
     return _stacked([a.T for a in P.mats], ds.views)
 
 
 def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
     """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, X, nx, (W, R)), X the dataset's own views."""
     Y = embeddings(P, ds)
-    _check_recovery(F, P.d, ds)
+    F.check(ds, P.d)
     nx = [_col_norms(x) for x in ds.views]
     return (Y, *_unit_columns(Y), ds.views, nx, _recovery_maps(F.mats, ds.views, nx))
 

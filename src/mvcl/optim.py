@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -101,7 +101,6 @@ class TrainReport:
     losses: tuple[float, ...]
     iterations: int
     converged: bool
-    preprocessing: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
 
@@ -121,9 +120,7 @@ def init_params(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(
-    ds: MultiViewDataset, cfg: TrainConfig, preprocessing: dict | None = None
-) -> tuple[ProjectionSet, RecoverySet, TrainReport]:
+def train(ds: MultiViewDataset, cfg: TrainConfig) -> tuple[ProjectionSet, RecoverySet, TrainReport]:
     """Alternating minimisation of the triple-head objective.
 
     One full pass at each point (P, F) gives its loss, the next F step's
@@ -135,10 +132,9 @@ def train(
     and R_m = F_m F_m^T per F (reused at (P', F')); each head runs all its view pairs as one batch.
     P and F are each one stacked array with one (entrywise) Adam state; a view's matrix is a slice.
 
-    ``preprocessing`` is an optional record of upstream data decisions that
-    is echoed verbatim in the report. Deterministic: the same dataset and
-    config reproduce the trajectory and parameters bit for bit. Overflow
-    while training surfaces as NumericDivergence, not as numpy warnings.
+    Deterministic: the same dataset and config reproduce the trajectory and
+    parameters bit for bit. Overflow while training surfaces as
+    NumericDivergence, not as numpy warnings.
     """
     t0 = time.perf_counter()
     hp, X, nx = cfg.hp, ds.views, [_col_norms(x) for x in ds.views]
@@ -188,7 +184,6 @@ def train(
         losses=tuple(losses),
         iterations=len(losses) - 1,
         converged=converged,
-        preprocessing=dict(preprocessing or {}),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return ProjectionSet(tuple(pmats)), RecoverySet(tuple(fmats)), report
@@ -273,40 +268,40 @@ def _stats_from_dict(obj, dims: list[int]) -> FeatureStats | None:
     if extra:
         raise ValueError(f"model 'preprocessing' has unknown keys {sorted(extra)}")
 
-    def per_view(key):
-        rows = obj[key]
-        if not (
-            isinstance(rows, list)
-            and len(rows) == len(dims)
-            and all(isinstance(r, list) and len(r) == D for r, D in zip(rows, dims))
-            and all(_json_type_ok(x, "float") for r in rows for x in r)
-        ):
+    def per_view(key, positive):
+        if not _number_lists(obj[key], dims):
             raise ValueError(f"model 'preprocessing.{key}' must be {len(dims)} lists of numbers, of lengths {dims}")
-        return tuple(np.array(r, dtype=float) for r in rows)
+        rows = tuple(np.array(r, dtype=float) for r in obj[key])
+        # JSON's NaN and Infinity load as numbers; a std divides the data, so it must also be > 0
+        if not all(np.isfinite(r).all() and (not positive or (r > 0).all()) for r in rows):
+            raise ValueError(f"model 'preprocessing.{key}' must hold finite numbers{' > 0' if positive else ''}")
+        return rows
 
     for key in ("center", "unit_variance"):
         if not isinstance(obj[key], bool):
             raise ValueError(f"model 'preprocessing.{key}' must be bool, got {obj[key]!r}")
     return FeatureStats(
-        means=per_view("means"),
-        stds=None if obj["stds"] is None else per_view("stds"),
+        means=per_view("means", False),
+        stds=None if obj["stds"] is None else per_view("stds", True),
         center=obj["center"],
         unit_variance=obj["unit_variance"],
     )
 
 
-def _matrices(obj: dict, key: str) -> tuple[np.ndarray, ...]:
-    """A model's ``P`` or ``F``: a list of matrices, each a list of equal-length rows of numbers.
+def _number_lists(rows, lengths=None) -> bool:
+    """Whether ``rows`` is a list of lists of numbers (a bool is no number, as in ``_json_type_ok``),
+    as many as ``lengths`` and of those lengths, or without ``lengths`` any number of one length."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        return False
+    if lengths is None:  # one length, the first row's
+        lengths = [len(r) for r in rows[:1]] * len(rows)
+    return [len(r) for r in rows] == list(lengths) and all(_json_type_ok(x, "float") for r in rows for x in r)
 
-    A bool is no number, as in the preprocessing record.
-    """
+
+def _matrices(obj: dict, key: str) -> tuple[np.ndarray, ...]:
+    """A model's ``P`` or ``F``: a list of matrices, each a list of equal-length rows of numbers."""
     mats = obj[key]
-    if not isinstance(mats, list) or not all(
-        isinstance(rows, list)
-        and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
-        and all(_json_type_ok(x, "float") for r in rows for x in r)
-        for rows in mats
-    ):
+    if not isinstance(mats, list) or not all(_number_lists(rows) for rows in mats):
         raise TypeError(f"'{key}' must be a list of matrices, each a list of equal-length rows of numbers")
     return tuple(np.array(rows, dtype=float) for rows in mats)
 
@@ -329,18 +324,30 @@ def save_model(
         "preprocessing": _stats_to_dict(stats),
         "config": config_to_dict(cfg),
     }
+    write_json(path, obj)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON, one space per indent level, keys sorted, newline-terminated;
+    floats round-trip exactly. The one JSON writer of the library, as ``read_json`` is its one reader."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def read_json(path: str | Path):
-    """The JSON value in the file at ``path``; nesting too deep for the parser is a ValueError naming the file."""
-    with open(path) as fh:
+    """The JSON value in the file at ``path``. Text that is no JSON, nesting too deep for the parser and
+    an integer with more digits than Python converts raise one ValueError, whose message starts with the path."""
+    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
         try:
             return json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+            why = "JSON nested too deeply to read"
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            why = f"not valid JSON: {e}"
+        except ValueError:  # what is left is int()'s limit on the digits of a JSON integer
+            why = "a JSON integer has too many digits"
+    raise ValueError(f"{path}: {why}")
 
 
 def load_model(path: str | Path):

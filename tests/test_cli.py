@@ -274,6 +274,11 @@ def _with_stats(**changes):
     (MODEL | {"P": [[[True]] * 12, [[1.0]] * 10]}, "malformed model file: 'P' must be"),
     (MODEL | {"F": [[["1.0"] * 12], [[1.0] * 10]]}, "malformed model file: 'F' must be"),
     (MODEL | {"F": 5}, "malformed model file: 'F' must be"),
+    (_with_stats(stds=[[0.0] + [1.0] * 11, [1.0] * 10]), "'preprocessing.stds' must hold finite numbers > 0"),
+    (_with_stats(stds=[[1.0] * 12, [-2.0] * 10]), "'preprocessing.stds' must hold finite numbers > 0"),
+    (_with_stats(stds=[[float("inf")] * 12, [1.0] * 10]), "'preprocessing.stds' must hold finite numbers > 0"),
+    (_with_stats(means=[[float("nan")] * 12, [0.0] * 10]), "'preprocessing.means' must hold finite numbers"),
+    (_with_stats(means=[[0.0] * 12, [-float("inf")] * 10]), "'preprocessing.means' must hold finite numbers"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -301,6 +306,26 @@ def test_deeply_nested_json_exits_2(synth_dir, tmp_path, capsys, command):
     }[command]
     assert run_cli(command, *argv) == 2
     assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("text, why", [
+    (b'{"d": 2,}', "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+    (b'{"d": 1' + b"0" * 5000 + b"}", "a JSON integer has too many digits"),
+    (b'{"d": "\xff"}', "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+], ids=["trailing-comma", "5001-digits", "not-utf-8"])
+def test_unreadable_json_names_its_file(synth_dir, tmp_path, capsys, command, text, why):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    views = f"{synth_dir}/view1.csv,{synth_dir}/view2.csv"
+    labels = str(synth_dir / "labels.csv")
+    argv = {
+        "eval": ["--model", str(path), "--views", views, "--labels", labels,
+                 "--train-views", views, "--train-labels", labels],
+        "train": ["--views", views, "--config", str(path), "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {why}\n"
 
 
 def test_eval_model_with_preprocessing_record(synth_dir, tmp_path, capsys):
@@ -338,6 +363,36 @@ def test_integer_past_float_range_exits_2(synth_dir, tmp_path, capsys, command, 
     assert run_cli(command, *argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
+
+
+# Flag values with which the CLI fuzzer (tests/test_cli_fuzz.py) found numpy's overflow warnings
+# printed before the error line.
+@pytest.mark.parametrize("argv", [
+    ["synth", "--noise", "1e308"],
+    ["gradcheck", "--alpha", "1e308"],
+    ["gradcheck", "--h", "1e308"],
+], ids=["synth-noise", "gradcheck-alpha", "gradcheck-h"])
+def test_overflowing_flag_exits_2_in_one_line(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "s")] if argv[0] == "synth" else []
+    assert run_cli(*argv, *out) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "benchmark"])
+def test_label_past_int64_exits_2(synth_dir, tmp_path, capsys, command):
+    # found by the CLI fuzzer: the label escaped as an OverflowError
+    model, views = _train_model(synth_dir, tmp_path)
+    labels = synth_dir / "labels.csv"
+    labels.write_text("99999999999999999999\n" + labels.read_text().split("\n", 1)[1])
+    argv = {
+        "eval": ["--model", str(model), "--views", views, "--labels", str(labels),
+                 "--train-views", views, "--train-labels", str(labels)],
+        "benchmark": ["--data", str(synth_dir), "--M", "2", "--repeats", "1", "--d-sweep", "2",
+                      "--max-iters", "2", "--out", str(tmp_path / "r.csv")],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}: row 1: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

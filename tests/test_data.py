@@ -183,6 +183,14 @@ def test_load_labels(csv_writer, tmp_path):
         load_views([a, b], lab)
 
 
+def test_load_views_peaks_below_two_copies_of_its_output(tmp_path):
+    # Each row is parsed into an array as it is read and each view is stacked into its frozen
+    # (D, n) layout, which the dataset adopts: no list of Python floats, no transposed copy.
+    paths = save_views(synth_generate(SynthSpec(classes=3, per_class=100, dims=(200, 150), seed=2)), tmp_path)
+    ds = load_views(paths[:2], paths[2])  # first calls allocate numpy's own caches
+    assert peak_alloc(lambda: load_views(paths[:2], paths[2])) < 2 * sum(v.nbytes for v in ds.views)
+
+
 def test_save_views_roundtrip(tmp_path):
     ds = synth_generate(SynthSpec(classes=2, per_class=3, dims=(4, 3), seed=5,
                                   shared_dims=1, specific_dims=1, redundant_copies=1))

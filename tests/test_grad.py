@@ -57,6 +57,12 @@ def test_fd_check_nonfinite_objective():
         finite_diff_check(lambda m: float("nan"), np.ones((2, 2)), np.zeros((2, 2)))
 
 
+def test_fd_check_rejects_a_nonfinite_analytic_gradient():
+    # a NaN entry's error compares below every bound, so it would otherwise pass
+    with pytest.raises(NumericError, match="analytic gradient is not finite"):
+        finite_diff_check(lambda m: float(m.sum()), np.ones((2, 2)), np.array([[1.0, np.nan], [1.0, 1.0]]))
+
+
 def test_fd_check_argument_validation():
     with pytest.raises(ValueError):
         finite_diff_check(lambda m: 0.0, np.ones((2, 2)), np.zeros((2, 2)), h=0.0)

@@ -597,6 +597,33 @@ def test_shape_mismatch_raises_dim_error():
         recovery_level_loss(P, bad_F, ds, SIGMA)
 
 
+@pytest.mark.parametrize("cls, what, shape", [
+    (ProjectionSet, "projection", lambda D, d: (D, d)),
+    (RecoverySet, "recovery", lambda D, d: (d, D)),
+], ids=["P", "F"])
+def test_view_matrix_sets_check_their_matrices_and_a_dataset(cls, what, shape):
+    good = (np.ones(shape(5, 2)), np.ones(shape(4, 2)))
+    nonfinite = np.ones(shape(4, 2))
+    nonfinite[0, 0] = np.inf
+    for mats, error, message in [
+        ((good[0], np.ones(4)), DimError, f"{what} 1 must be 2-D"),
+        ((good[0], nonfinite), ValueError, f"{what} 1 contains non-finite entries"),
+        ((), DimError, f"no {what} matrices given"),
+        ((good[0], np.ones(shape(4, 3))), DimError, f"{what} 1 has d = 3, expected 2"),
+    ]:
+        with pytest.raises(error, match=message):
+            cls(mats)
+    S = cls(good)
+    assert (S.V, S.d) == (2, 2) and not S.mats[0].flags.writeable
+    S.check(MultiViewDataset((np.ones((5, 6)), np.ones((4, 6)))), 2)
+    with pytest.raises(DimError, match=f"2 {what} matrices for 3 views"):
+        S.check(MultiViewDataset((np.ones((5, 6)), np.ones((4, 6)), np.ones((4, 6)))), 2)
+    with pytest.raises(DimError, match=rf"{what} 1 has shape \({shape(4, 2)[0]}, {shape(4, 2)[1]}\), expected"):
+        S.check(MultiViewDataset((np.ones((5, 6)), np.ones((3, 6)))), 2)
+    with pytest.raises(DimError, match=f"{what} 0 has shape"):
+        S.check(MultiViewDataset((np.ones((5, 6)), np.ones((4, 6)))), 3)
+
+
 # ---------------------------------------------------------------------------
 # invariances
 # ---------------------------------------------------------------------------

@@ -176,13 +176,6 @@ def test_train_converged_flag_consistent_with_trajectory():
         assert rep.iterations == 400
 
 
-def test_train_preprocessing_record_is_echoed():
-    ds = _train_instance()
-    cfg = TrainConfig(hp=HyperParams(d=2), max_iters=1, tol=1e12)
-    _, _, rep = train(ds, cfg, preprocessing={"center": True, "unit_variance": False})
-    assert rep.preprocessing == {"center": True, "unit_variance": False}
-
-
 @pytest.mark.parametrize("sigma", [1e-1, 1e-2, 1e-3, 1e-4])
 def test_small_temperatures_stay_finite(sigma):
     # exp(1/sigma) overflows below sigma ~ 1.4e-3, but the objective is

@@ -26,7 +26,7 @@ from .data import (
     synth_generate,
 )
 from .errors import MvclError, NumericDivergence
-from .evaluate import accuracies, benchmark, default_d_sweep, report_to_csv, report_to_dict
+from .evaluate import accuracies, benchmark, default_d_sweep, paired_rows, report_to_csv, report_to_dict
 from .grad import finite_diff_check, grad_wrt_F, grad_wrt_P, random_instance
 from .loss import HyperParams, total_loss
 from .optim import (
@@ -253,11 +253,10 @@ def _cmd_benchmark(args) -> int:
         fh.write(csv_text)
     write_json(out.with_suffix(".json"), payload)
 
-    for row in report.rows:
+    for row, ab, diff in paired_rows(report, ablation):
         line = f"{row.label:>6}  {row.mean_acc:6.2f} +- {row.std_acc:5.2f}  (d={row.d})"
-        if ablation is not None:
-            ab = {r.label: r for r in ablation.rows}[row.label]
-            line += f"   vs ablation {ab.mean_acc:6.2f} +- {ab.std_acc:5.2f}  diff={row.mean_acc - ab.mean_acc:+.2f}"
+        if ab is not None:
+            line += f"   vs ablation {ab.mean_acc:6.2f} +- {ab.std_acc:5.2f}  diff={diff:+.2f}"
         print(line)
     return 0
 
@@ -266,8 +265,16 @@ def _cmd_benchmark(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which ``main`` reports in one line with
+    exit code 2, instead of printing the usage and raising SystemExit; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvcl",
         description="Multi-view linear feature extraction with triple contrastive heads.",
     )
@@ -345,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # non-finite results are checked
             return args.func(args)
     except NumericDivergence as e:

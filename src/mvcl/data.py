@@ -7,6 +7,7 @@ CSV files on disk use the transposed samples x features layout.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -171,8 +172,8 @@ class SynthSpec:
         used = self.shared_dims + self.specific_dims + self.redundant_copies
         if any(used > d for d in self.dims):
             raise InvalidSpec(f"signal blocks use {used} dims, exceeding a view dimension")
-        if not self.noise_std > 0:
-            raise InvalidSpec("noise_std must be > 0")
+        if not 0 < self.noise_std < math.inf:
+            raise InvalidSpec(f"noise_std must be finite and > 0, got {self.noise_std!r}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
@@ -183,6 +184,7 @@ class SynthSpec:
 CLASS_MEAN_SCALE = 3.0
 
 
+@np.errstate(over="ignore")  # an overflow of the noise is checked
 def synth_generate(spec: SynthSpec) -> MultiViewDataset:
     """Deterministically generate a labelled dataset from a SynthSpec."""
     rng = np.random.default_rng(spec.seed)
@@ -199,6 +201,8 @@ def synth_generate(spec: SynthSpec) -> MultiViewDataset:
     for m, D in enumerate(spec.dims):
         x = rng.standard_normal((D, n))
         x *= spec.noise_std
+        if not np.isfinite(x).all():
+            raise InvalidSpec(f"noise_std = {spec.noise_std!r} overflows view {m}'s noise")
         if sh:
             x[:sh, :] += mu_shared[:, labels]
         if sp:

@@ -53,9 +53,11 @@ class NumericDivergence(MvclError):
     """Training produced a non-finite loss.
 
     ``iteration`` is the outer-loop index at which divergence was detected
-    (0 means the initial evaluation).
+    (0 means the initial evaluation); ``fit`` is the diverging fit's index in
+    its batch (0 for a single dataset).
     """
 
-    def __init__(self, message: str, iteration: int):
+    def __init__(self, message: str, iteration: int, fit: int = 0):
         super().__init__(message)
         self.iteration = iteration
+        self.fit = fit

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MultiViewDataset, SplitPlan, preprocess, split
-from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired
-from .loss import ProjectionSet, embeddings
+from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
+from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
+from .loss import ProjectionSet, _batch_limit, embeddings
 from .optim import TrainConfig, config_to_dict, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -108,23 +108,6 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-def _one_repeat(
-    ds: MultiViewDataset,
-    cfg: TrainConfig,
-    plan: SplitPlan,
-    r: int,
-    sweep: list[int],
-) -> dict[int, dict[str, float]]:
-    train_ds, test_ds = split(ds, plan, r)
-    train_p, stats = preprocess(train_ds)
-    test_p, _ = preprocess(test_ds, stats=stats)
-    out: dict[int, dict[str, float]] = {}
-    for d in sweep:
-        P, _, _ = train(train_p, replace(cfg, hp=replace(cfg.hp, d=d)))
-        out[d] = accuracies(P, train_p, test_p)
-    return out
-
-
 def benchmark(
     ds: MultiViewDataset,
     cfg: TrainConfig,
@@ -134,11 +117,14 @@ def benchmark(
     """Repeated-split 1-NN benchmark over a grid of subspace dimensions.
 
     Each repeat centres its training split's features, without scaling them
-    (``preprocess``' defaults), and applies the same means to its test split.
-    Each row reports the maximum over the grid of the across-repeat mean
-    accuracy, with the population std at that grid point. Repeats are
-    independent and may run in parallel (MVCL_THREADS); results do not
-    depend on the schedule.
+    (``preprocess``' defaults), and applies the same means to its test split,
+    formed after training. Each row reports the maximum over the grid of the
+    across-repeat mean accuracy, with the population std at that grid point.
+    The repeats share n (M per class), so those of one grid point train in
+    lockstep, one ``train`` call per batch of at most ``loss._batch_limit(V, n, d)``
+    (all 5 of the c6 protocol's at n = 18; one above n = 64 at V = 2), each fit
+    with its result alone. Batches may run in parallel (MVCL_THREADS); results do
+    not depend on the schedule. A failed repeat raises BenchmarkError naming it.
     """
     if ds.labels is None:
         raise LabelsRequired("benchmark needs a labelled dataset")
@@ -149,18 +135,38 @@ def benchmark(
         if not 1 <= d < min(ds.dims):
             raise DimError(f"swept dimension {d} must lie in [1, {min(ds.dims)})")
 
-    def run(r: int) -> dict[int, dict[str, float]]:
+    def train_split(r: int):
         try:
-            return _one_repeat(ds, cfg, plan, r, sweep)
+            train_idx, test_idx = split_indices(ds.labels, plan, r)
+            return (*preprocess(ds.take(train_idx)), test_idx)
         except Exception as e:
             raise BenchmarkError(f"repeat {r} failed: {e}") from e
 
-    workers = _worker_count(plan.repeats)
+    splits = [train_split(r) for r in range(plan.repeats)]  # (train_p, stats, test_idx)
+    sizes = {d: _batch_limit(ds.V, splits[0][0].n, d) for d in sweep}
+    batches = [(d, range(plan.repeats)[r : r + sizes[d]]) for d in sweep for r in range(0, plan.repeats, sizes[d])]
+
+    def run(batch):
+        d, repeats = batch
+        try:
+            return train(tuple(splits[r][0] for r in repeats), replace(cfg, hp=replace(cfg.hp, d=d)))[0]
+        except NumericDivergence as e:
+            raise BenchmarkError(f"repeat {repeats[e.fit]} failed: {e}") from e
+        except Exception as e:  # not one fit's failure: name every repeat of the batch
+            raise BenchmarkError(f"repeats {list(repeats)} failed: {e}") from e
+
+    workers = _worker_count(len(batches))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_repeat = list(pool.map(run, range(plan.repeats)))
+            trained = list(pool.map(run, batches))
     else:
-        per_repeat = [run(r) for r in range(plan.repeats)]
+        trained = [run(b) for b in batches]
+
+    fitted = {(r, d): P for (d, repeats), Ps in zip(batches, trained) for r, P in zip(repeats, Ps)}
+    per_repeat = []
+    for r, (train_p, stats, test_idx) in enumerate(splits):
+        test_p, _ = preprocess(ds.take(test_idx), stats=stats)
+        per_repeat.append({d: accuracies(fitted[r, d], train_p, test_p) for d in sweep})
 
     rows = []
     for label in per_repeat[0][sweep[0]]:
@@ -185,6 +191,15 @@ def benchmark(
     return BenchmarkReport(tuple(rows), plan.M, plan.repeats, config)
 
 
+def paired_rows(report: BenchmarkReport, ablation: BenchmarkReport | None = None):
+    """Each row of ``report`` as (row, the ``ablation`` row of its label, row mean - ablation mean),
+    or as (row, None, None) without an ablation: the one pairing of the report and the CSV."""
+    by_label = {r.label: r for r in ablation.rows} if ablation is not None else {}
+    for row in report.rows:
+        ab = by_label[row.label] if ablation is not None else None
+        yield row, ab, None if ab is None else row.mean_acc - ab.mean_acc
+
+
 def report_to_csv(
     report: BenchmarkReport, ablation: BenchmarkReport | None = None
 ) -> str:
@@ -193,12 +208,8 @@ def report_to_csv(
     w = csv.writer(buf, lineterminator="\n")
     paired = ["ablation_mean_acc", "ablation_std_acc", "diff_mean"] if ablation is not None else []
     w.writerow(["label", "mean_acc", "std_acc", *paired])
-    by_label = {r.label: r for r in ablation.rows} if ablation is not None else {}
-    for row in report.rows:
-        values = [row.mean_acc, row.std_acc]
-        if ablation is not None:
-            ab = by_label[row.label]
-            values += [ab.mean_acc, ab.std_acc, row.mean_acc - ab.mean_acc]
+    for row, ab, diff in paired_rows(report, ablation):
+        values = [row.mean_acc, row.std_acc] + ([ab.mean_acc, ab.std_acc, diff] if ab is not None else [])
         w.writerow([row.label, *map(repr, values)])
     return buf.getvalue()
 

@@ -33,17 +33,18 @@ def grad_wrt_P(
     Every head reaches P only through the embeddings Y^m = P_m^T X^m, so the
     per-view result is X^m times the accumulated embedding gradient.
     """
-    Y, Yh, ny, X, nx, maps = _point(P, F, ds)
-    dY = _p_heads(Y, Yh, ny, hp, grad=True)[1] + _f_head(X, nx, maps, F.mats, Yh, ny, hp, want_dY=True)[1]
-    return tuple(x @ g.T for x, g in zip(X, dY))
+    Y, Yh, ny, X, nx, Fmats, maps = _point(P, F, ds)
+    dY = _p_heads(Y, Yh, ny, hp, grad=True)[1] + _f_head(X, nx, maps, Fmats, Yh, ny, hp, want_dY=True)[1]
+    return tuple(x @ g.T for x, g in zip(ds.views, dY[0]))
 
 
 def grad_wrt_F(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> tuple[np.ndarray, ...]:
     """beta * d(recovery-level loss)/dF_m; zero matrices when beta is 0."""
-    _, Yh, ny, X, nx, maps = _point(P, F, ds)
-    return tuple(np.split(_f_head(X, nx, maps, F.mats, Yh, ny, hp, want_dF=True)[2], np.cumsum(ds.dims)[:-1], axis=1))
+    _, Yh, ny, X, nx, Fmats, maps = _point(P, F, ds)
+    dF = _f_head(X, nx, maps, Fmats, Yh, ny, hp, want_dF=True)[2][0]
+    return tuple(np.split(dF, np.cumsum(ds.dims)[:-1], axis=1))
 
 
 def finite_diff_check(

@@ -14,17 +14,22 @@ similarities:
 
 All three heads share one softmax cross-entropy, ``_xent``, giving the loss
 and the unnormalised gradient from one pass; it alone holds the exponential,
-the overflow rule (``SHIFT_ABOVE``) and the positives' layout. Per-view quantities
-carry a leading view axis: Y, its unit columns Yh (``_unit_columns``) and the
-recovery anchors W_m = F_m (X^m / nx^m) are (V, d, n) whatever the D_m; the data X
-is read with its column norms nx, never held as a unit-column copy. Each head runs
-all its view pairs as one batched block: the sample head its V anchor views,
-the recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
+the overflow rule (``SHIFT_ABOVE``) and the positives' layout.
+
+The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters:
+every array carries a leading fit axis, then a view axis. Y, its unit columns Yh
+(``_unit_columns``) and the recovery anchors W_m = F_m (X^m / nx^m) are (B, V, d, n)
+whatever the D_m; view m's data X^m (B, D_m, n) is read with its column norms nx,
+never held as a unit-column copy; each head returns B losses. Each head runs all
+its view pairs as one batched block: the sample head its V anchor views, the
+recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
-Gram block. ``ROWS`` anchor rows are shared over a batch: one ROWS x kn logit
-block is alive. Every expectation is an arithmetic mean over the anchor index and
-a plain sum over view pairs, so loss magnitudes do not grow with n. Accumulation
-is float64 with a fixed left-to-right ordering for reproducibility.
+Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs: one
+ROWS x kn logit block is alive. A batch holds at most ``_batch_limit`` fits, so
+that each fit runs in one row block, as it does alone, and gets its result alone.
+Every expectation is an arithmetic mean over the anchor index and a plain sum over
+view pairs, so loss magnitudes do not grow with n. Accumulation is float64 with a
+fixed left-to-right ordering for reproducibility.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -147,6 +153,13 @@ class RecoverySet(_ViewMatrices):
 # (6 MB at kn = 3000) instead of streaming the whole matrix through memory.
 ROWS = 256
 
+
+def _batch_limit(V: int, n: int, d: int) -> int:
+    """The most fits (at least 1) of V views, n samples and d dimensions that every head runs side by side, each
+    in one row block as it runs alone, so with the arithmetic it has alone: B V(V-1) n <= ROWS for the recovery
+    head, which implies the sample head's B V n <= ROWS, and B V^2 d <= ROWS for the feature head."""
+    return max(1, min(ROWS // (V * (V - 1) * n), ROWS // (V * V * d)))
+
 # Every logit lies in [-1/sigma, 1/sigma], so up to this inverse temperature
 # exp(S) and its row sums stay finite and nonzero. Only above it is the
 # softmax shifted by the row maximum: the shift costs two passes over the
@@ -163,8 +176,8 @@ def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float, out: np.ndarray 
     return np.matmul(Ah.T, Bh / sigma, out=out)
 
 
-# 16 shapes hold every one-block call; at large n an index is cheap next to its block.
-@lru_cache(maxsize=16)
+# 64 shapes hold the three heads' one-block calls at batch sizes up to 21, and the 49 blocks of a V = 2 fit at n = 3000.
+@lru_cache(maxsize=64)
 def _positive_index(shape: tuple[int, ...], k: int, r0: int) -> np.ndarray:
     """Flat indices into a block of ``shape`` (..., c, k*n), anchor rows r0..r0+c-1 in every
     batch entry, of the positives (..., i, b*n + (r0 + i) % n) for b < k: shape (..., c, k)."""
@@ -184,13 +197,15 @@ def _partners(V: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(A: np.ndarray) -> np.ndarray:
-    """A (V, ...) read at every pair's partner view: (V, V-1, ...), entry [a, j] the j-th view other than a."""
-    return A.take(_partners(len(A))[0], axis=0).reshape(len(A), -1, *A.shape[1:])
+    """A (B, V, ...) read at every pair's partner view: (B, V, V-1, ...), entry [., a, j] the j-th view other than a."""
+    B, V, *rest = A.shape
+    return A.take(_partners(V)[0], axis=1).reshape(B, V, V - 1, *rest)
 
 
 def _to_views(G: np.ndarray) -> np.ndarray:
-    """The inverse scatter of ``_pairs``: the terms G[a, j] (V x (V-1) x ...) summed onto their partner views."""
-    return np.add.reduce(G.reshape(-1, *G.shape[2:]).take(_partners(len(G))[1], axis=0), axis=1)
+    """The inverse scatter of ``_pairs``: the terms G[., a, j] (B x V x (V-1) x ...) summed onto their partner views."""
+    B, V, _, *rest = G.shape
+    return np.add.reduce(G.reshape(B, -1, *rest).take(_partners(V)[1], axis=1), axis=2)
 
 
 def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -> np.ndarray:
@@ -208,11 +223,11 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
 
 
 def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
-    """Softmax cross-entropy along the last axis of S (..., c, kn), a block of anchor rows r0.. or a batch
-    of them, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every head.
-    Returns (summed row losses, E = rs * dloss/dS in place of S, 1/rs), or None for both without ``grad``:
-    callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row, and a row
-    whose one finite entry is its positive gives a loss and gradient of exactly 0."""
+    """Softmax cross-entropy along the last axis of S (B, ..., c, kn), a block of anchor rows r0.. of B fits
+    or a batch of them, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of
+    every head. Returns (each fit's summed row losses (B,), E = rs * dloss/dS in place of S, 1/rs), or None
+    for both without ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out
+    of its row, and a row whose one finite entry is its positive gives a loss and gradient of exactly 0."""
     pidx = _positive_index(S.shape, k, r0)
     if 1.0 / sigma > SHIFT_ABOVE:
         pos = S.take(pidx)
@@ -223,7 +238,7 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
         rs = np.add.reduce(E, axis=-1)
         # exp of a positive far below its row maximum underflows: stay in logs.
         lpos = np.logaddexp.reduce(pos, axis=-1)
-        loss = float(np.add.reduce(np.log(rs), axis=None) - np.add.reduce(lpos, axis=None))
+        loss = np.add.reduce(np.log(rs).reshape(len(S), -1), axis=1) - np.add.reduce(lpos.reshape(len(S), -1), axis=1)
         pos, scale = np.exp(pos - lpos[..., None]), rs
     else:
         E = np.exp(S, out=S)
@@ -231,7 +246,7 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
         pos = E.take(pidx)
         # From E itself, so that a row whose only entry is its positive gives exactly 0.
         scale = rs / np.add.reduce(pos, axis=-1)
-        loss = float(np.add.reduce(np.log(scale), axis=None))
+        loss = np.add.reduce(np.log(scale).reshape(len(S), -1), axis=1)
     if not grad:
         return loss, None, None
     # rs * (softmax over the row - softmax over the row's positives)
@@ -260,158 +275,161 @@ def _unit_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked(left, right) -> np.ndarray:
-    """The products left[m] @ right[m], written into one (V, rows, cols) array."""
-    out = np.empty((len(left), left[0].shape[0], right[0].shape[1]))
-    for a, b, o in zip(left, right, out):
-        np.matmul(a, b, out=o)
+    """The products left[m] @ right[m] of B fits (B, rows, cols each), written into one (B, V, rows, cols) array."""
+    out = np.empty((len(left[0]), len(left), left[0].shape[1], right[0].shape[2]))
+    for m, (a, b) in enumerate(zip(left, right)):
+        np.matmul(a, b, out=out[:, m])
     return out
 
 
 def _recovery_maps(Fmats, X, nx) -> tuple[np.ndarray, np.ndarray]:
-    """(W, R): the recovery anchors W_m = F_m (X^m / nx^m) (V, d, n), one view's X^m / nx^m
-    alive at a time, and the Gram matrices R_m = F_m F_m^T (V, d, d)."""
-    W = np.empty((len(Fmats), Fmats[0].shape[0], X[0].shape[1]))
-    for f, x, s, w in zip(Fmats, X, nx, W):
-        np.matmul(f, x / s, out=w)
-    return W, _stacked(Fmats, [f.T for f in Fmats])
+    """(W, R): the recovery anchors W_m = F_m (X^m / nx^m) (B, V, d, n), one view's X^m / nx^m
+    alive at a time, and the Gram matrices R_m = F_m F_m^T (B, V, d, d)."""
+    W = np.empty((len(X[0]), len(Fmats), Fmats[0].shape[1], X[0].shape[2]))
+    for m, (f, x, s) in enumerate(zip(Fmats, X, nx)):
+        np.matmul(f, x / s[:, None], out=W[:, m])
+    return W, _stacked(Fmats, [f.swapaxes(1, 2) for f in Fmats])
 
 
 def embeddings(P: ProjectionSet, ds: MultiViewDataset) -> np.ndarray:
     """Per-view subspace embeddings P_m^T X^m, stacked: (V, d, n)."""
     P.check(ds, P.d)
-    return _stacked([a.T for a in P.mats], ds.views)
+    return _stacked([a.T[None] for a in P.mats], [x[None] for x in ds.views])[0]
 
 
 def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
-    """Every head's inputs at (P, F), each formed once: (Y, Yh, ny, X, nx, (W, R)), X the dataset's own views."""
-    Y = embeddings(P, ds)
+    """Every head's inputs at (P, F) as a batch of one fit, each formed once: (Y, Yh, ny, X, nx, Fmats, (W, R))."""
+    Y = embeddings(P, ds)[None]
     F.check(ds, P.d)
-    nx = [_col_norms(x) for x in ds.views]
-    return (Y, *_unit_columns(Y), ds.views, nx, _recovery_maps(F.mats, ds.views, nx))
+    X, Fmats = [x[None] for x in ds.views], [f[None] for f in F.mats]
+    nx = [_col_norms(x) for x in X]
+    return (Y, *_unit_columns(Y), X, nx, Fmats, _recovery_maps(Fmats, X, nx))
 
 
 def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = False):
-    """Sample-level loss at the unit embeddings Yh (V, d, n), norms ny (V, n), and d/dY with ``grad`` (else None).
+    """Sample-level losses at the unit embeddings Yh (B, V, d, n), norms ny (B, V, n), and d/dY with ``grad`` or None.
 
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
-    there are negatives, and same-view pairs never enter. The V anchor views are
-    one batch: each block holds ROWS // V rows of every anchor view, V x c x (V-1)n
-    logits, and 1/(n sigma) is applied to the small factors, never to the block.
+    there are negatives, and same-view pairs never enter. The B fits' V anchor views
+    are one batch: each block holds ROWS // (BV) rows of every anchor view, B x V x c x
+    (V-1)n logits, filled by one 2-D ``cosine_logits`` call per fit and anchor view, and
+    1/(n sigma) is applied to the small factors, never to the block.
     The candidates' gradients are scattered back onto their views, and each
     view's gradient is pulled back through its norm once.
     """
-    V, d, n = Yh.shape
-    B = _pairs(Yh).swapaxes(1, 2).reshape(V, d, (V - 1) * n)
-    c = max(1, ROWS // V)
+    B, V, d, n = Yh.shape
+    C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
+    c = max(1, ROWS // (B * V))
     scale = 1.0 / (n * sigma)
-    total, dB = 0.0, None
+    total, dC = 0.0, None
     dY = np.empty(Yh.shape) if grad else None
     for r0 in range(0, n, c):
         rows = slice(r0, r0 + c)
-        A = Yh[:, :, rows]
-        S = np.empty((V, A.shape[2], B.shape[2]))
-        for a in range(V):
-            cosine_logits(A[a], B[a], sigma, out=S[a])
+        A = Yh[..., rows]
+        S = np.empty((B, V, A.shape[3], C.shape[3]))
+        for b, a in product(range(B), range(V)):
+            cosine_logits(A[b, a], C[b, a], sigma, out=S[b, a])
         loss, E, inv = _xent(S, sigma, V - 1, grad, r0)
         total += loss
         if grad:
-            inv = inv[:, None, :] * scale
-            np.matmul(B, E.swapaxes(1, 2), out=dY[:, :, rows])
-            dY[:, :, rows] *= inv
-            dB = _accumulate(dB, (A * inv) @ E)
+            inv = inv[:, :, None, :] * scale
+            np.matmul(C, E.swapaxes(2, 3), out=dY[..., rows])
+            dY[..., rows] *= inv
+            dC = _accumulate(dC, (A * inv) @ E)
         del S, E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None
-    dY += _to_views(dB.reshape(V, d, V - 1, n).swapaxes(1, 2))
+    dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
     return total / n, _through_norm(dY, Yh, ny, 1.0)
 
 
 def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bool = False):
-    """Feature-level loss of the embeddings Y (V, d, n), and d/dY with ``grad`` (else None).
+    """Feature-level losses of the embeddings Y (B, V, d, n), and d/dY with ``grad`` (else None).
 
     The contrasted vectors are the rows of Y: row k of view m against all d
     rows of view v, with the same row index as the positive. The V*d rows, as
-    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma,
-    ROWS // V anchor rows (m, k) at a time: one GEMM, then moved to (V, c, d), one
-    batch entry per candidate view v, for ``_xent``, whose positive (r0 + i) % d is
+    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma per fit,
+    ROWS // (BV) anchor rows (m, k) at a time: one GEMM per fit, then moved to (B, V, c, d),
+    one batch entry per candidate view v, for ``_xent``, whose positive (r0 + i) % d is
     the diagonal of each (m, v) block. Without ``include_self_view`` each row's
     m = v entry is -inf off its positive, so its loss and gradient are exactly 0.
     dQh = Qh (dG + dG^T) / sigma.
     """
-    V, d, n = Y.shape
-    Q = Y.reshape(V * d, n).T
+    B, V, d, n = Y.shape
+    Q = Y.reshape(B, V * d, n).swapaxes(1, 2)
     Qh, nq = _unit_columns(Q)
     Qs = Qh / sigma
-    c = max(1, ROWS // V)
+    c = max(1, ROWS // (B * V))
     total = 0.0
     dQ = np.zeros(Q.shape) if grad else None
     for r0 in range(0, V * d, c):
         rows = slice(r0, r0 + c)
-        S = np.ascontiguousarray((Qh[:, rows].T @ Qs).reshape(-1, V, d).swapaxes(0, 1))
+        S = np.ascontiguousarray((Qh[..., rows].swapaxes(1, 2) @ Qs).reshape(B, -1, V, d).swapaxes(1, 2))
         if not include_self_view:
-            (own, k), i = divmod(np.arange(r0, r0 + S.shape[1]), d), np.arange(S.shape[1])
-            S[own, i] = np.where(np.arange(d) == k[:, None], S[own, i], -np.inf)
+            (own, k), i = divmod(np.arange(r0, r0 + S.shape[2]), d), np.arange(S.shape[2])
+            S[:, own, i] = np.where(np.arange(d) == k[:, None], S[:, own, i], -np.inf)
         loss, E, inv = _xent(S, sigma, 1, grad, r0)
         total += loss
         if grad:
             E *= inv[..., None]
-            E = E.swapaxes(0, 1).reshape(-1, V * d)  # dG, back in the Gram block's layout
-            dQ[:, rows] += Qh @ E.T
-            dQ += Qh[:, rows] @ E
+            E = E.swapaxes(1, 2).reshape(B, -1, V * d)  # dG, back in the Gram block's layout
+            dQ[..., rows] += Qh @ E.swapaxes(1, 2)
+            dQ += Qh[..., rows] @ E
         del S, E  # so that the next block is formed after this one is freed
-    return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).T.reshape(V, d, n) if grad else None
+    return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
 
 
 def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
-    """Recovery loss, with d/dY (V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None).
+    """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None).
 
     Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the
     columns of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
-    All V(V-1) ordered pairs (m, v) are one batch, run in d-space: with Xh = X / nx, yh =
-    Y^v / ny, (W, R) = ``maps`` (W = F_m Xh, R = F_m F_m^T), nz = ||F_m^T yh|| =
+    All V(V-1) ordered pairs (m, v) of the B fits are one batch, run in d-space: with Xh =
+    X / nx, yh = Y^v / ny, (W, R) = ``maps`` (W = F_m Xh, R = F_m F_m^T), nz = ||F_m^T yh|| =
     sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
     U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r =
     colsum(U * W E) (0 where nz is floored): dY = (W E - R U r) c / (nz ny) and
-    dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v. Blocks of ROWS // (V(V-1))
+    dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v. Blocks of ROWS // (BV(V-1))
     rows of every pair's S run at once and sum their shares of W E and of dF's
     one ambient product per view, so one ROWS x n block is alive, never S; beside
-    it U and W E are V(V-1) d n floats each, so memory also grows with V^2 d. At
+    it U and W E are BV(V-1) d n floats each, so memory also grows with V^2 d. At
     d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
-    as the objective is. dF is one d x sum(D_m) array, view m's in its m-th columns.
+    as the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
     """
-    W, R = maps[0], maps[1][:, None]  # R_m for every pair (m, v)
-    V, d, n = Yh.shape
+    W, R = maps[0], maps[1][:, :, None]  # R_m for every pair (m, v)
+    B, V, d, n = Yh.shape
     U = _pairs(Yh)
-    nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=2), 0.0)), NORM_FLOOR)
-    U /= nz[:, :, None, :]
+    nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=3), 0.0)), NORM_FLOOR)
+    U /= nz[..., None, :]
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
-    rows = max(1, ROWS // (V * (V - 1)))
+    rows = max(1, ROWS // (B * V * (V - 1)))
     total, WE, dF = 0.0, None, [None] * V
     for r0 in range(0, n, rows):
-        Wr = W[:, None, :, r0 : r0 + rows]
-        loss, E, inv = _xent((Wr / sigma).swapaxes(2, 3) @ U, sigma, 1, grad, r0)
+        Wr = W[:, :, None, :, r0 : r0 + rows]
+        loss, E, inv = _xent((Wr / sigma).swapaxes(3, 4) @ U, sigma, 1, grad, r0)
         total += loss
         if grad:
-            inv = inv[:, :, None, :]
+            inv = inv[..., None, :]
             part = Wr * inv
             if WE is None:
                 WE = part @ E
-            else:  # one pair at a time, so that no second V(V-1) x d x n array is alive
-                for p in np.ndindex(V, V - 1):
+            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
+                for p in product(range(B), range(V), range(V - 1)):
                     WE[p] += part[p] @ E[p]
         if want_dF:
-            A = np.add.reduce((U @ E.swapaxes(2, 3)) * (c * inv), axis=1)
+            A = np.add.reduce((U @ E.swapaxes(3, 4)) * (c * inv), axis=2)
             cols = slice(r0, r0 + rows)  # this block's columns of Xh, formed for its one product
-            dF = [_accumulate(g, a @ (x[:, cols] / s[cols]).T) for g, a, x, s in zip(dF, A, X, nx)]
+            views = zip(dF, A.swapaxes(0, 1), X, nx)  # a = A[:, m]: view m's share of every fit
+            dF = [_accumulate(g, a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)) for g, a, x, s in views]
         del E  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None
-    r = np.add.reduce(U * WE, axis=2) * (nz > NORM_FLOOR)
+    r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)
     dY = _to_views((WE - R @ U * r[..., None, :]) * (c / (nz * _pairs(ny)))[..., None, :]) if want_dY else None
     if want_dF:
-        B = np.add.reduce((U * (c * r)[:, :, None, :]) @ U.swapaxes(2, 3), axis=1)
-        dF = np.concatenate([g - b @ f for g, b, f in zip(dF, B, Fmats)], axis=1)
+        G = np.add.reduce((U * (c * r)[..., None, :]) @ U.swapaxes(3, 4), axis=2)
+        dF = np.concatenate([g - b @ f for g, b, f in zip(dF, G.swapaxes(0, 1), Fmats)], axis=2)
     return total / n, dY, dF if want_dF else None
 
 
@@ -424,7 +442,7 @@ def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> 
     and summed over anchor views.
     """
     _check_temperature("sigma1", sigma1)
-    return _sample_head(_unit_columns(embeddings(P, ds))[0], None, sigma1)[0]
+    return float(_sample_head(_unit_columns(embeddings(P, ds)[None])[0], None, sigma1)[0][0])
 
 
 def feature_level_loss(
@@ -440,7 +458,7 @@ def feature_level_loss(
     distinct subspace dimensions apart, removing redundant coordinates.
     """
     _check_temperature("sigma3", sigma3)
-    return _feature_head(embeddings(P, ds), sigma3, include_self_view)[0]
+    return float(_feature_head(embeddings(P, ds)[None], sigma3, include_self_view)[0][0])
 
 
 def recovery_level_loss(
@@ -454,14 +472,14 @@ def recovery_level_loss(
     views' embeddings must retain.
     """
     _check_temperature("sigma2", sigma2)
-    _, Yh, ny, X, nx, maps = _point(P, F, ds)
-    return _recovery_head(X, nx, maps, F.mats, Yh, ny, sigma2)[0]
+    _, Yh, ny, X, nx, Fmats, maps = _point(P, F, ds)
+    return float(_recovery_head(X, nx, maps, Fmats, Yh, ny, sigma2)[0][0])
 
 
 def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, grad: bool = False):
     """sample + alpha * feature, the heads that see only P, at the embeddings Y (unit columns Yh, norms ny).
 
-    Returns (value, d/dY), d/dY None without ``grad``; a zero alpha skips the feature head.
+    Returns (values (B,), d/dY), d/dY None without ``grad``; a zero alpha skips the feature head.
     """
     value, dY = _sample_head(Yh, ny, hp.sigma1, grad)
     if hp.alpha != 0.0:
@@ -477,7 +495,7 @@ def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, 
     and a zero beta skips it, giving 0 and zero gradients."""
     if hp.beta == 0.0:
         dY = np.zeros_like(Yh) if want_dY else None
-        return 0.0, dY, np.zeros_like(np.hstack(Fmats)) if want_dF else None
+        return 0.0, dY, np.zeros_like(np.concatenate(Fmats, axis=2)) if want_dF else None
     value, dY, dF = _recovery_head(X, nx, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
     return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None
 
@@ -486,5 +504,5 @@ def total_loss(
     P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset, hp: HyperParams
 ) -> float:
     """sample + alpha * feature + beta * recovery; zero weights skip a head."""
-    Y, Yh, ny, X, nx, maps = _point(P, F, ds)
-    return _p_heads(Y, Yh, ny, hp)[0] + _f_head(X, nx, maps, F.mats, Yh, ny, hp)[0]
+    Y, Yh, ny, X, nx, Fmats, maps = _point(P, F, ds)
+    return float((_p_heads(Y, Yh, ny, hp)[0] + _f_head(X, nx, maps, Fmats, Yh, ny, hp)[0])[0])

@@ -23,8 +23,8 @@ import numpy as np
 from .data import FeatureStats, MultiViewDataset
 from .errors import DimError, NumericDivergence
 from .grad import grad_wrt_P  # noqa: F401  (the benchmark's tracer rebinds this name)
-from .loss import HyperParams, ProjectionSet, RecoverySet, _col_norms, _f_head, _p_heads, _recovery_maps, _stacked
-from .loss import _unit_columns
+from .loss import HyperParams, ProjectionSet, RecoverySet, _batch_limit, _col_norms, _f_head, _p_heads, _recovery_maps
+from .loss import _stacked, _unit_columns
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -120,73 +120,105 @@ def init_params(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(ds: MultiViewDataset, cfg: TrainConfig) -> tuple[ProjectionSet, RecoverySet, TrainReport]:
-    """Alternating minimisation of the triple-head objective.
+def train(ds: MultiViewDataset | tuple[MultiViewDataset, ...], cfg: TrainConfig):
+    """Alternating minimisation of the triple-head objective, for one dataset or a batch of fits.
+
+    ``train(ds, cfg)`` returns (P, F, report). ``train((ds_1, ..., ds_B), cfg)`` runs B fits in lockstep on
+    datasets of one n and one set of D_m, at most ``loss._batch_limit(V, n, d)`` of them (so that each fit's
+    arithmetic is the one it has alone), and returns (Ps, Fs, batch, reports): each fit's P, F and report
+    are those of ``train(ds_j, cfg)`` bit for bit, but for its wall_ms, which runs until the fit stops;
+    ``batch.wall_ms`` is the batch's wall time and ``batch.iterations`` the fit-iterations run (no losses).
+    Each fit keeps its own ``tol`` rule: a converged fit leaves the batch, and the others run on.
 
     One full pass at each point (P, F) gives its loss, the next F step's
     gradient and the P-only heads' share of the next P step's gradient; after
     the F step only the recovery head runs again, at (P, F'), for d/dY alone;
     the last point's pass is value-only. Each per-point quantity is formed once:
-    X's column norms nx per call (X is held once, as the dataset's views), Y and its unit
-    columns Yh per P, each one (V, d, n) array (Yh reused at (P, F')), and W_m = F_m (X^m / nx^m)
-    and R_m = F_m F_m^T per F (reused at (P', F')); each head runs all its view pairs as one batch.
-    P and F are each one stacked array with one (entrywise) Adam state; a view's matrix is a slice.
+    X's column norms nx per call (view m's data is one (B, D_m, n) array), Y and its unit
+    columns Yh per P, each one (B, V, d, n) array (Yh reused at (P, F')), and W_m = F_m (X^m / nx^m)
+    and R_m = F_m F_m^T per F (reused at (P', F')); each head runs all its fits' view pairs as one batch.
+    P and F are each one (B, ...) array with one (entrywise) Adam state; a view's matrix is a slice.
 
-    Deterministic: the same dataset and config reproduce the trajectory and
+    Deterministic: the same datasets and config reproduce the trajectories and
     parameters bit for bit. Overflow while training surfaces as
-    NumericDivergence, not as numpy warnings.
+    NumericDivergence naming the fit (``fit``, its index in the batch), not as numpy warnings.
     """
     t0 = time.perf_counter()
-    hp, X, nx = cfg.hp, ds.views, [_col_norms(x) for x in ds.views]
-    P, F = init_params(ds.dims, hp.d, cfg.seed)
-    p, f = np.vstack(P.mats), np.hstack(F.mats)
-    blocks = [slice(end - D, end) for D, end in zip(ds.dims, accumulate(ds.dims))]
-    pmats, fmats = [p[b] for b in blocks], [f[:, b] for b in blocks]
+    fits = ds if isinstance(ds, tuple) else (ds,)
+    if not fits:
+        raise ValueError("no datasets to train on")
+    hp, first = cfg.hp, fits[0]
+    if any(other.dims != first.dims or other.n != first.n for other in fits):
+        raise DimError("the datasets of one batch must share n and the view dimensions")
+    if len(fits) > _batch_limit(first.V, first.n, hp.d):
+        raise ValueError(f"{len(fits)} fits exceed the batch limit {_batch_limit(first.V, first.n, hp.d)}")
+    X = [np.stack(views) if len(fits) > 1 else views[0][None] for views in zip(*(f.views for f in fits))]
+    nx = [_col_norms(x) for x in X]
+    P, F = init_params(first.dims, hp.d, cfg.seed)
+    p, f = np.stack([np.vstack(P.mats)] * len(fits)), np.stack([np.hstack(F.mats)] * len(fits))
+    blocks = [slice(end - D, end) for D, end in zip(first.dims, accumulate(first.dims))]
     fit_f = hp.beta != 0.0  # else F is out of the objective, and Adam would not move it
-    maps = _recovery_maps(fmats, X, nx) if fit_f else None
 
-    def full_pass(pmats, fmats, maps, grad=True):
-        Y = _stacked([pm.T for pm in pmats], X)
+    def fmats(f):
+        return [f[..., b] for b in blocks]
+
+    def full_pass(p, f, maps, grad=True):
+        Y = _stacked([p[:, b].swapaxes(1, 2) for b in blocks], X)
         Yh, ny = _unit_columns(Y)
         value, dYp = _p_heads(Y, Yh, ny, hp, grad)
-        rvalue, _, dF = _f_head(X, nx, maps, fmats, Yh, ny, hp, want_dF=grad and fit_f)
-        return value + rvalue, Yh, ny, dYp, dF
+        rvalue, _, dF = _f_head(X, nx, maps, fmats(f), Yh, ny, hp, want_dF=grad and fit_f)
+        return (value + rvalue).tolist(), Yh, ny, dYp, dF
 
-    loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps)
-    if not math.isfinite(loss):
-        raise NumericDivergence("initial loss is not finite", iteration=0)
-    losses = [loss]
+    def check(loss, it):
+        bad = [fit for fit, x in zip(live, loss) if not math.isfinite(x)]
+        if bad:
+            of = f" of fit {bad[0]}" if len(fits) > 1 else ""
+            why = f"loss{of} diverged at iteration {it}" if it else f"initial loss{of} is not finite"
+            raise NumericDivergence(why, iteration=it, fit=bad[0])
 
+    live, done = list(range(len(fits))), {}
+    maps = _recovery_maps(fmats(f), X, nx) if fit_f else None
+    loss, Yh, ny, dYp, dF = full_pass(p, f, maps)
+    check(loss, 0)
+    losses = [[x] for x in loss]
     p_state, f_state = AdamState.zeros(p.shape), AdamState.zeros(f.shape)
-    dP = np.empty(p.shape)
 
-    converged = False
     for it in range(1, cfg.max_iters + 1):
         if fit_f:
             f_state, f = adam_step(f_state, dF, f, cfg.adam)
-            fmats = [f[:, b] for b in blocks]
-            maps = _recovery_maps(fmats, X, nx)
-            dYp += _f_head(X, nx, maps, fmats, Yh, ny, hp, want_dY=True)[1]
-        for x, g, b in zip(X, dYp, blocks):
-            np.matmul(x, g.T, out=dP[b])
+            maps = _recovery_maps(fmats(f), X, nx)
+            dYp += _f_head(X, nx, maps, fmats(f), Yh, ny, hp, want_dY=True)[1]
+        dP = np.empty(p.shape)
+        for m, (x, b) in enumerate(zip(X, blocks)):
+            np.matmul(x, dYp[:, m].swapaxes(1, 2), out=dP[:, b])
         p_state, p = adam_step(p_state, dP, p, cfg.adam)
-        pmats = [p[b] for b in blocks]
 
-        loss, Yh, ny, dYp, dF = full_pass(pmats, fmats, maps, grad=it < cfg.max_iters)
-        if not math.isfinite(loss):
-            raise NumericDivergence(f"loss diverged at iteration {it}", iteration=it)
-        losses.append(loss)
-        if abs(losses[-1] - losses[-2]) <= cfg.tol:
-            converged = True
+        loss, Yh, ny, dYp, dF = full_pass(p, f, maps, grad=it < cfg.max_iters)
+        check(loss, it)
+        keep = []
+        for j, (fit, x) in enumerate(zip(live, loss)):
+            losses[fit].append(x)
+            converged = abs(losses[fit][-1] - losses[fit][-2]) <= cfg.tol
+            if converged or it == cfg.max_iters:
+                report = TrainReport(tuple(losses[fit]), it, converged, (time.perf_counter() - t0) * 1000.0)
+                done[fit] = (ProjectionSet(tuple(p[j, b] for b in blocks)), RecoverySet(tuple(fmats(f[j]))), report)
+            else:
+                keep.append(j)
+        if not keep:
             break
+        if len(keep) < len(live):  # the converged fits leave the batch
+            live = [live[j] for j in keep]
+            X, nx = [x[keep] for x in X], [s[keep] for s in nx]
+            p, f, Yh, ny, dYp = p[keep], f[keep], Yh[keep], ny[keep], dYp[keep]
+            dF, maps = (None, None) if not fit_f else (dF[keep], (maps[0][keep], maps[1][keep]))
+            p_state, f_state = (AdamState(s.m[keep], s.v[keep], s.t) for s in (p_state, f_state))
 
-    report = TrainReport(
-        losses=tuple(losses),
-        iterations=len(losses) - 1,
-        converged=converged,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-    return ProjectionSet(tuple(pmats)), RecoverySet(tuple(fmats)), report
+    if not isinstance(ds, tuple):
+        return done[0]
+    Ps, Fs, reports = zip(*(done[j] for j in range(len(fits))))
+    batch = TrainReport((), sum(r.iterations for r in reports), all(r.converged for r in reports),
+                        (time.perf_counter() - t0) * 1000.0)
+    return Ps, Fs, batch, reports
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,36 @@ def test_overflowing_flag_exits_2_in_one_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["--noise", "1e308"], "error: noise_std = 1e+308 overflows view 0's noise"),
+    (["--noise=inf"], "error: noise_std must be finite and > 0, got inf"),
+])
+def test_synth_noise_past_float_range_names_noise_std(tmp_path, capsys, argv, text):
+    assert run_cli("synth", *argv, "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == text + "\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--noise", "-inf"], "--noise"),
+    (["gradcheck", "--alpha", "-inf"], "--alpha"),
+    (["synth", "--classes", "two"], "--classes"),
+    (["synth", "--bogus", "1"], "--bogus"),
+    (["benchmark", "--M", "2"], "--data"),
+], ids=["value-like-a-flag", "alpha-value-like-a-flag", "not-an-int", "unknown-flag", "missing-flag"])
+def test_usage_error_returns_2_in_one_line_naming_the_flag(tmp_path, capsys, argv, flag):
+    # argparse's own handling prints the usage and an error line, then raises SystemExit(2) out of main
+    out = ["--out", str(tmp_path / "s")] if argv[0] == "synth" else []
+    assert run_cli(*argv, *out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--help")
+    assert exc.value.code == 0 and "--noise" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["eval", "benchmark"])
 def test_label_past_int64_exits_2(synth_dir, tmp_path, capsys, command):
     # found by the CLI fuzzer: the label escaped as an OverflowError

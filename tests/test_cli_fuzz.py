@@ -150,7 +150,9 @@ def _argv(command: str, root, draw) -> list:
         pool = DIMS if flag == "--dims" else FLOATS if flag in FLOAT_FLAGS else INTS
         flags[flag] = draw(st.sampled_from(pool))
         out = ["--out", root / "synth"] if command == "synth" else []
-        return [command, *(f"{k}={v}" for k, v in flags.items()), *out]  # so that "-inf" is read as a value
+        # "--noise=-inf" reads "-inf" as a value, "--noise -inf" as a missing one: a usage error
+        joined = draw(st.booleans())
+        return [command, *(a for k, v in flags.items() for a in ([f"{k}={v}"] if joined else [k, v])), *out]
     if command == "train":
         return ["train", "--views", views, "--config", root / "config.json", "--max-iters", 3,
                 "--out", root / "m.json"]

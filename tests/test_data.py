@@ -317,6 +317,19 @@ def test_synth_invalid_specs():
         SynthSpec(classes=2, per_class=3, dims=(8, 8), noise_std=0.0)
 
 
+@pytest.mark.parametrize("noise_std", [np.inf, np.nan, -np.inf])
+def test_synth_spec_rejects_a_noise_std_that_is_not_finite(noise_std):
+    with pytest.raises(InvalidSpec, match="^noise_std must be finite and > 0"):
+        SynthSpec(classes=2, per_class=3, dims=(12, 12), noise_std=noise_std)
+
+
+def test_synth_names_noise_std_when_the_noise_overflows():
+    # finite, but a standard normal draw beyond 1.8 times it is past float range
+    spec = SynthSpec(classes=2, per_class=30, dims=(12, 12), noise_std=1e308)
+    with pytest.raises(InvalidSpec, match=r"^noise_std = 1e\+308 overflows view 0's noise$"):
+        synth_generate(spec)
+
+
 def test_synth_spec_rejects_negative_seed():
     with pytest.raises(InvalidSpec, match=r"^seed must be >= 0, got -1$"):
         SynthSpec(classes=2, per_class=3, dims=(12, 12), seed=-1)

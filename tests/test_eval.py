@@ -1,9 +1,12 @@
 import csv
 import io
+import time
 
 import numpy as np
 import pytest
 
+import mvcl.evaluate
+import mvcl.loss
 import oracles as orc
 from mvcl import (
     BenchmarkError,
@@ -20,9 +23,13 @@ from mvcl import (
     benchmark,
     default_d_sweep,
     embeddings,
+    feature_level_loss,
+    init_params,
     knn_classify,
+    preprocess,
     report_to_csv,
     report_to_dict,
+    split,
     synth_generate,
 )
 from mvcl.grad import random_instance
@@ -202,9 +209,10 @@ def test_benchmark_is_deterministic():
 
 
 def test_benchmark_parallel_matches_sequential(monkeypatch):
-    seq = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[3])
+    # the 3 repeats of each d train as one batch: two batches for two threads
+    seq = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3])
     monkeypatch.setenv("MVCL_THREADS", "3")
-    par = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[3])
+    par = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3])
     assert seq.rows == par.rows
 
 
@@ -229,6 +237,44 @@ def test_benchmark_names_failing_repeat():
     diverging = TrainConfig(hp=hp, max_iters=10)
     with pytest.raises(BenchmarkError, match="repeat 0"):
         benchmark(ds, diverging, SplitPlan(M=4, repeats=1, seed=0), d_sweep=[3])
+
+
+def test_benchmark_names_the_diverging_repeat_of_a_batch():
+    # the 3 repeats train as one batch; alpha lies between the two largest initial feature losses,
+    # so that alpha * feature overflows in one repeat's fit only
+    ds, plan = _bench_ds(), SplitPlan(M=4, repeats=3, seed=3)
+    P0, _ = init_params(ds.dims, 3, 0)
+    feature = [feature_level_loss(P0, preprocess(split(ds, plan, r)[0])[0], 0.1) for r in range(3)]
+    second, worst = sorted(feature)[-2:]
+    r = int(np.argmax(feature))
+    assert r != 0
+    cfg = TrainConfig(hp=HyperParams(d=3, alpha=1.7976e308 / np.sqrt(second * worst)), max_iters=10)
+    with pytest.raises(BenchmarkError, match=f"^repeat {r} failed: initial loss of fit {r} is not finite$"):
+        benchmark(ds, cfg, plan, d_sweep=[3])
+
+
+@pytest.mark.parametrize("rows, batches", [(mvcl.loss.ROWS, [5]), (96, [4, 1])])
+def test_benchmark_calls_train_once_per_batch(monkeypatch, rows, batches):
+    # The benchmark's protocol workload wraps mvcl.evaluate.train and reads each call's third element:
+    # wall_ms, the batch's wall time counted once, and iterations, the fit-iterations it ran.
+    # At n = 12, V = 2 and d <= 3, ROWS = 96 allows batches of 4; the results do not depend on it.
+    plan = SplitPlan(M=4, repeats=5, seed=4)
+    want = benchmark(_bench_ds(), _cfg(), plan, d_sweep=[2, 3])
+    calls, inner = [], mvcl.evaluate.train
+
+    def timed(fits, cfg):
+        t0 = time.perf_counter()
+        out = inner(fits, cfg)
+        calls.append(((time.perf_counter() - t0) * 1000.0, len(fits), out))
+        return out
+
+    monkeypatch.setattr("mvcl.evaluate.train", timed)
+    monkeypatch.setattr("mvcl.loss.ROWS", rows)
+    assert benchmark(_bench_ds(), _cfg(), plan, d_sweep=[2, 3]).rows == want.rows
+    assert [size for _, size, _ in calls] == batches * 2
+    for wall_ms, _, out in calls:
+        assert 0 < out[2].wall_ms <= wall_ms
+        assert out[2].iterations == sum(r.iterations for r in out[3]) > 0
 
 
 def test_benchmark_sweep_picks_argmax_dimension():

@@ -176,6 +176,20 @@ def test_recovery_loss_perfect_recovery_closed_form():
 # the reassociated recovery head
 # ---------------------------------------------------------------------------
 
+# The heads take a leading fit axis; the tests below run them on one fit, Y[None], and read
+# each output without its fit axis.
+
+def _alone(out):
+    """A head's outputs for a batch of one fit, without the fit axis."""
+    return tuple(None if a is None else a[0] for a in out)
+
+
+def _batch_of_one(X, Fmats):
+    """Views X and maps F_m as one fit's (1, ...) arrays, with X's column norms: (X, nx, Fmats)."""
+    X, Fmats = [x[None] for x in X], [f[None] for f in Fmats]
+    return X, [_col_norms(x) for x in X], Fmats
+
+
 def _recovery_inputs(seed, V, n, D, d):
     """Views X (D rows each, or D[m] rows for a tuple D), embeddings Y (V, d, n) and maps F_m."""
     dims = D if isinstance(D, tuple) else (D,) * V
@@ -187,9 +201,10 @@ def _recovery_inputs(seed, V, n, D, d):
 
 
 def _recovery(X, Y, Fmats, sigma, want_dY=False, want_dF=False):
-    """``_recovery_head`` at data X and embeddings Y (V, d, n), with the per-point quantities formed here."""
-    nx = [_col_norms(x) for x in X]
-    return _recovery_head(X, nx, _recovery_maps(Fmats, X, nx), Fmats, *_unit_columns(Y), sigma, want_dY, want_dF)
+    """``_recovery_head`` of one fit at data X and embeddings Y (V, d, n), with the per-point quantities formed here."""
+    X, nx, Fmats = _batch_of_one(X, Fmats)
+    maps = _recovery_maps(Fmats, X, nx)
+    return _alone(_recovery_head(X, nx, maps, Fmats, *_unit_columns(Y[None]), sigma, want_dY, want_dF))
 
 
 def _direct_recovery(X, Y, Fmats, sigma):
@@ -282,8 +297,8 @@ def test_recovery_loss_at_d1_is_bit_constant_in_embedding_scale():
 def test_recovery_head_keeps_one_logit_matrix_alive():
     n = 1500
     X, Y, Fmats = _recovery_inputs(42, 2, n=n, D=20, d=4)
-    nx = [_col_norms(x) for x in X]
-    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y)
+    X, nx, Fmats = _batch_of_one(X, Fmats)
+    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y[None])
     peak = peak_alloc(lambda: _recovery_head(X, nx, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True))
     assert peak < 2 * n * n * 8
 
@@ -323,12 +338,12 @@ def _per_pair_feature(Y, sigma, include_self_view):
 @pytest.mark.parametrize("sigma", [0.1, 1e-3])  # 1e-3 takes the shifted softmax
 def test_feature_head_matches_per_pair_contrasts(V, include_self_view, sigma):
     Y = _recovery_inputs(60 + V, V, n=40, D=1, d=6)[1]
-    loss, dY = _feature_head(Y, sigma, include_self_view, grad=True)
+    loss, dY = _alone(_feature_head(Y[None], sigma, include_self_view, grad=True))
     want_loss, want_dY = _per_pair_feature(Y, sigma, include_self_view)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(dY, want_dY):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert _feature_head(Y, sigma, include_self_view)[0] == loss
+    assert _feature_head(Y[None], sigma, include_self_view)[0][0] == loss
 
 
 @pytest.mark.parametrize("V", [2, 3])
@@ -338,7 +353,7 @@ def test_feature_head_at_d1_is_exactly_zero(V, include_self_view, sigma):
     # One row per view: every block is its own positive, so loss and gradient
     # are 0 exactly, not to rounding (c1's flat seed-7 instance needs this).
     Y = _recovery_inputs(70 + V, V, n=25, D=1, d=1)[1]
-    loss, dY = _feature_head(Y, sigma, include_self_view, grad=True)
+    loss, dY = _alone(_feature_head(Y[None], sigma, include_self_view, grad=True))
     assert loss == 0.0
     assert all(np.array_equal(g, np.zeros_like(g)) for g in dY)
 
@@ -366,12 +381,12 @@ def _per_anchor_sample(Y, sigma):
 @pytest.mark.parametrize("n", [18, ROWS + 1])
 def test_sample_head_matches_per_anchor_contrasts(V, sigma, n):
     Y = _recovery_inputs(80 + V, V, n=n, D=1, d=5)[1]
-    loss, dY = _sample_head(*_unit_columns(Y), sigma, grad=True)
+    loss, dY = _alone(_sample_head(*_unit_columns(Y[None]), sigma, grad=True))
     want_loss, want_dY = _per_anchor_sample(Y, sigma)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(dY, want_dY):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert _sample_head(*_unit_columns(Y), sigma) == (loss, None)
+    assert _alone(_sample_head(*_unit_columns(Y[None]), sigma)) == (loss, None)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +397,13 @@ def _head_outputs(head, n, sigma):
     """(loss, all gradients flattened) of one head on seeded inputs with n samples."""
     X, Y, Fmats = _recovery_inputs(50, 3, n=n, D=12, d=4)
     loss, *grads = {
-        "sample V=2": lambda: _sample_head(*_unit_columns(Y[:2]), sigma, grad=True),
-        "sample V=3": lambda: _sample_head(*_unit_columns(Y), sigma, grad=True),
+        "sample V=2": lambda: _alone(_sample_head(*_unit_columns(Y[None, :2]), sigma, grad=True)),
+        "sample V=3": lambda: _alone(_sample_head(*_unit_columns(Y[None]), sigma, grad=True)),
         "recovery": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True, want_dF=True),
         "recovery without dF": lambda: _recovery(X[:2], Y[:2], Fmats[:2], sigma, want_dY=True),
         # n feature rows of 4 samples in each view, so V*n anchor rows
-        "feature": lambda: _feature_head(Y[:2].swapaxes(1, 2), sigma, True, grad=True),
-        "feature without self view": lambda: _feature_head(Y.swapaxes(1, 2), sigma, False, grad=True),
+        "feature": lambda: _alone(_feature_head(Y[None, :2].swapaxes(2, 3), sigma, True, grad=True)),
+        "feature without self view": lambda: _alone(_feature_head(Y[None].swapaxes(2, 3), sigma, False, grad=True)),
     }[head]()
     return np.array([loss]), np.concatenate([g.ravel() for gs in grads if gs is not None for g in gs])
 
@@ -421,7 +436,7 @@ def test_contrast_forms_logits_once_per_block(monkeypatch, n, blocks, grad):
     monkeypatch.setattr("mvcl.loss.cosine_logits", counted)
     monkeypatch.setattr("mvcl.loss.ROWS", 3 * ROWS)
     Y = np.random.default_rng(n).standard_normal((3, 3, n))
-    _sample_head(*_unit_columns(Y), SIGMA, grad=grad)
+    _sample_head(*_unit_columns(Y[None]), SIGMA, grad=grad)
     assert len(anchors) == 3 * blocks and sum(anchors) == 3 * n
 
 
@@ -435,8 +450,8 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
     n, rows = 1500, 256
     monkeypatch.setattr("mvcl.loss.ROWS", rows)
     X, Y, Fmats = _recovery_inputs(42, V, n=n, D=20, d=4)
-    nx = [_col_norms(x) for x in X]
-    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y)
+    X, nx, Fmats = _batch_of_one(X, Fmats)
+    W, Yn = _recovery_maps(Fmats, X, nx), _unit_columns(Y[None])
     if head == "sample":
         k = V - 1  # each anchor row spans the other views
         peak = peak_alloc(lambda: _sample_head(*Yn, 0.1, grad=True))
@@ -445,7 +460,7 @@ def test_heads_keep_one_row_block_alive(monkeypatch, head):
         peak = peak_alloc(lambda: _recovery_head(X, nx, W, Fmats, *Yn, 0.1, want_dY=True, want_dF=True))
     else:
         k = V  # n feature rows of 4 samples in each view: blocks of rows x Vn
-        peak = peak_alloc(lambda: _feature_head(Y.swapaxes(1, 2), 0.1, True, grad=True))
+        peak = peak_alloc(lambda: _feature_head(Y[None].swapaxes(2, 3), 0.1, True, grad=True))
     assert peak < 1.5 * rows * k * n * 8
 
 
@@ -472,21 +487,21 @@ def test_heads_run_every_view_pair_in_one_batched_block(monkeypatch, V, rows_per
     monkeypatch.setattr("mvcl.loss._xent", counted_xent)
     monkeypatch.setattr("mvcl.loss.cosine_logits", counted_cos)
     monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V)
-    _sample_head(*_unit_columns(Y), SIGMA, grad=True)
-    assert len(xents) == blocks and {s[0] for s in xents} == {V}
+    _sample_head(*_unit_columns(Y[None]), SIGMA, grad=True)
+    assert len(xents) == blocks and {s[:2] for s in xents} == {(1, V)}
     assert cosines == [(2, 2)] * (V * blocks)
     xents.clear()
     monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V * (V - 1))
     _recovery(X, Y, Fmats, SIGMA, want_dY=True, want_dF=True)
-    assert len(xents) == blocks and {s[:2] for s in xents} == {(V, V - 1)}
+    assert len(xents) == blocks and {s[:3] for s in xents} == {(1, V, V - 1)}
     # the feature head's V*d anchor rows (m, k), each against the d rows of every view
     monkeypatch.setattr("mvcl.loss.ROWS", rows_per_entry * V)
     d = Y.shape[1]
     for include_self_view in (True, False):
         xents.clear()
-        _feature_head(Y, SIGMA, include_self_view, grad=True)
-        assert len(xents) == -(-V * d // rows_per_entry) and sum(s[1] for s in xents) == V * d
-        assert {(s[0], s[2]) for s in xents} == {(V, d)}
+        _feature_head(Y[None], SIGMA, include_self_view, grad=True)
+        assert len(xents) == -(-V * d // rows_per_entry) and sum(s[2] for s in xents) == V * d
+        assert {(s[0], s[1], s[3]) for s in xents} == {(1, V, d)}
 
 
 # ---------------------------------------------------------------------------

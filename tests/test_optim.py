@@ -13,15 +13,18 @@ from mvcl import (
     NumericDivergence,
     ProjectionSet,
     RecoverySet,
+    SplitPlan,
     SynthSpec,
     TrainConfig,
     adam_step,
+    feature_level_loss,
     grad_wrt_F,
     grad_wrt_P,
     init_params,
     load_model,
     preprocess,
     save_model,
+    split,
     synth_generate,
     total_loss,
     train,
@@ -234,6 +237,70 @@ def test_train_stacked_adam_matches_per_view_adam(dims, weights):
         assert np.array_equal(a, b)
 
 
+# ---------------------------------------------------------------------------
+# fits trained in lockstep
+# ---------------------------------------------------------------------------
+
+def _cell(M, repeats, seed, dims=(8, 7)):
+    """The preprocessed training splits of a benchmark cell's repeats: datasets of one n and the same dims."""
+    ds = synth_generate(SynthSpec(classes=3, per_class=10, dims=dims, shared_dims=2, specific_dims=2,
+                                  redundant_copies=1, seed=seed))
+    plan = SplitPlan(M=M, repeats=repeats, seed=seed)
+    return tuple(preprocess(split(ds, plan, r)[0])[0] for r in range(repeats))
+
+
+@pytest.mark.parametrize("dims, weights, tol", [
+    ((8, 7), {}, 1e-300),
+    ((8, 7), {"alpha": 0.0, "beta": 0.0}, 1e-300),
+    ((8, 7), {"sigma1": 1e-3, "sigma2": 1e-3, "sigma3": 1e-3}, 1e-300),
+    ((8, 7, 6), {}, 1e-300),
+    ((8, 7, 6), {"alpha": 0.0, "beta": 0.0, "fea_include_self_view": False}, 1e-300),
+    ((8, 7), {}, 0.1),
+    ((8, 7, 6), {"sigma1": 1e-3, "sigma2": 1e-3, "sigma3": 1e-3}, 10.0),
+], ids=["V2-full", "V2-cmc", "V2-shifted-softmax", "V3-full", "V3-cmc", "V2-own-stops", "V3-own-stops"])
+def test_batched_fits_equal_their_solo_runs(dims, weights, tol):
+    # as many fits as a batch holds at n = 9: 14 at V = 2, 4 at V = 3, where the recovery head's V(V-1) pairs bind
+    fits = _cell(M=3, repeats=mvcl.loss._batch_limit(len(dims), 9, 2), seed=11, dims=dims)
+    cfg = TrainConfig(hp=HyperParams(d=2, **weights), max_iters=100 if tol > 1e-300 else 40, tol=tol)
+    Ps, Fs, batch, reports = train(fits, cfg)
+    iterations = []
+    for ds, P, F, rep in zip(fits, Ps, Fs, reports):
+        P1, F1, rep1 = train(ds, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(P.mats + F.mats, P1.mats + F1.mats))
+        assert (rep.losses, rep.iterations, rep.converged) == (rep1.losses, rep1.iterations, rep1.converged)
+        iterations.append(rep.iterations)
+    assert batch.iterations == sum(iterations) and batch.losses == ()
+    assert batch.converged == all(r.converged for r in reports)
+    assert max(r.wall_ms for r in reports) <= batch.wall_ms
+    if tol > 1e-300:  # the fits stop at their own iterations, and the batch runs on without the stopped ones
+        assert len(set(iterations)) > 2 and min(iterations) < cfg.max_iters
+
+
+def test_a_batch_names_its_diverging_fit():
+    # alpha between the fits' largest initial feature losses: alpha * feature overflows in one fit only
+    fits = _cell(M=4, repeats=3, seed=1)
+    P0, _ = init_params(fits[0].dims, 2, 0)
+    feature = [feature_level_loss(P0, ds, 0.1) for ds in fits]
+    second, worst = sorted(feature)[-2:]
+    cfg = TrainConfig(hp=HyperParams(d=2, alpha=1.7976e308 / np.sqrt(second * worst)), max_iters=5)
+    with pytest.raises(NumericDivergence, match=f"^initial loss of fit {np.argmax(feature)} is not finite$") as exc:
+        train(fits, cfg)
+    assert exc.value.fit == np.argmax(feature) != 0 and exc.value.iteration == 0
+
+
+def test_a_batch_holds_fits_of_one_shape_up_to_the_limit():
+    fits = _cell(M=3, repeats=2, seed=1)
+    cfg = TrainConfig(hp=HyperParams(d=2), max_iters=2)
+    with pytest.raises(DimError, match="share n"):
+        train((fits[0], _cell(M=4, repeats=1, seed=1)[0]), cfg)
+    with pytest.raises(DimError, match="share n"):
+        train((fits[0], _cell(M=3, repeats=1, seed=1, dims=(8, 6))[0]), cfg)
+    # n = 9, V = 2: B * 2 * 9 <= ROWS for the recovery head
+    assert mvcl.loss._batch_limit(2, 9, 2) == mvcl.loss.ROWS // 18
+    with pytest.raises(ValueError, match="exceed the batch limit"):
+        train(fits * (mvcl.loss.ROWS // 36 + 1), cfg)
+
+
 def test_zero_beta_leaves_recovery_maps_at_their_start():
     # With beta = 0 F is out of the objective: its Adam steps are skipped, and
     # F is the initial F bit for bit, as zero-gradient Adam steps leave it.
@@ -262,7 +329,7 @@ def test_train_forms_each_recovery_anchor_once_per_F(monkeypatch):
     inner = mvcl.loss._recovery_maps
 
     def counted(Fmats, X, nx):
-        seen.append(np.hstack(Fmats).copy())
+        seen.append(np.concatenate(Fmats, axis=2)[0])  # one fit's F: its (1, d, D_m) maps, side by side
         return inner(Fmats, X, nx)
 
     monkeypatch.setattr("mvcl.loss._recovery_maps", counted)

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,33 +30,30 @@ from .errors import MvclError, NumericDivergence
 from .evaluate import accuracies, benchmark, default_d_sweep, paired_rows, report_to_csv, report_to_dict
 from .grad import finite_diff_check, grad_wrt_F, grad_wrt_P, random_instance
 from .loss import HyperParams, total_loss
-from .optim import (
-    TrainConfig,
-    config_from_sections,
-    config_section,
-    config_to_dict,
-    load_model,
-    read_json,
-    save_model,
-    train,
-    write_json,
-)
+from .optim import AdamParams, TrainConfig, from_json, load_model, read_json, save_model, train, write_json
 
 GRADCHECK_BOUND = 1e-5
 CONFIG_SCHEMA_VERSION = 1
+# The --config file's sections and their kinds (see ``optim.from_json``): 'hyper' must set d, and any other
+# section or key left out takes its default.
+CONFIG_FILE = {
+    "schema_version": int,
+    "hyper": HyperParams,
+    "adam": AdamParams,
+    "train": {k: kind for k, kind in get_type_hints(TrainConfig).items() if k not in ("hp", "adam")},
+    "preprocess": {k: kind for k, kind in get_type_hints(FeatureStats).items() if k in ("center", "unit_variance")},
+}
 
 
 def _read_config(path: str | Path) -> tuple[TrainConfig, bool, bool]:
-    """A ``--config`` file: (cfg, center, unit_variance); unknown keys are rejected."""
+    """A ``--config`` file: (cfg, center, unit_variance)."""
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ValueError("config must be a JSON object declaring schema_version = 1")
-    unknown = set(obj) - {"schema_version", "hyper", "adam", "train", "preprocess"}
-    if unknown:
-        raise ValueError(f"config has unknown keys {sorted(unknown)}")
-    cfg = config_from_sections(obj.get("hyper", {}), obj.get("adam", {}), obj.get("train", {}))
-    pre = config_section(obj.get("preprocess", {}), "preprocess", FeatureStats, "means", "stds")
-    return cfg, pre.get("center", True), pre.get("unit_variance", False)
+    sections = from_json(obj, CONFIG_FILE, "config", required=["hyper"])
+    cfg = TrainConfig(sections["hyper"], sections.get("adam", AdamParams()), **sections.get("train", {}))
+    pre = {"center": True, "unit_variance": False} | sections.get("preprocess", {})
+    return cfg, pre["center"], pre["unit_variance"]
 
 
 def _flag_hyper(d: int, args) -> HyperParams:
@@ -145,7 +143,7 @@ def _cmd_train(args) -> int:
             "converged": report.converged,
             "losses": list(report.losses),
             "preprocessing": {"center": center, "unit_variance": unit_variance},
-            "config": config_to_dict(cfg),
+            "config": dataclasses.asdict(cfg),
             "wall_ms": report.wall_ms,
         },
     )

@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -92,14 +92,15 @@ class MultiViewDataset:
         return MultiViewDataset(tuple(views), labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FeatureStats:
-    """Per-feature means/stds plus the flags they were computed under."""
+    """The preprocessing flags, and the per-feature means/stds computed under them (a std divides the data).
+    A model file's record is checked in this field order, flags first (``optim.from_json``)."""
 
-    means: tuple[np.ndarray, ...]
-    stds: tuple[np.ndarray, ...] | None
     center: bool
     unit_variance: bool
+    means: tuple[np.ndarray, ...]
+    stds: Annotated[tuple[np.ndarray, ...], "> 0"] | None
 
 
 def preprocess(
@@ -119,7 +120,7 @@ def preprocess(
         stds = None
         if unit_variance:
             stds = tuple(np.maximum(v.std(axis=1), 1e-12) for v in ds.views)
-        stats = FeatureStats(means, stds, center, unit_variance)
+        stats = FeatureStats(center=center, unit_variance=unit_variance, means=means, stds=stds)
     else:
         if len(stats.means) != ds.V:
             raise StatsMismatch(f"stats cover {len(stats.means)} views, dataset has {ds.V}")

@@ -13,14 +13,14 @@ import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
 from .loss import ProjectionSet, _batch_limit, embeddings
-from .optim import TrainConfig, config_to_dict, train
+from .optim import TrainConfig, train
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -186,7 +186,7 @@ def benchmark(
         "center": True,
         "unit_variance": False,
         "std": "population",
-        "train": config_to_dict(cfg),
+        "train": asdict(cfg),
     }
     return BenchmarkReport(tuple(rows), plan.M, plan.repeats, config)
 
@@ -215,13 +215,4 @@ def report_to_csv(
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "rows": [
-            {"label": r.label, "mean_acc": r.mean_acc, "std_acc": r.std_acc, "d": r.d}
-            for r in report.rows
-        ],
-        "M": report.M,
-        "repeats": report.repeats,
-        "config": report.config,
-    }
+    return asdict(report) | {"schema_version": REPORT_SCHEMA_VERSION}

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .data import FeatureStats, MultiViewDataset
 from .errors import DimError, NumericDivergence
 from .grad import grad_wrt_P  # noqa: F401  (the benchmark's tracer rebinds this name)
 from .loss import HyperParams, ProjectionSet, RecoverySet, _batch_limit, _col_norms, _f_head, _p_heads, _recovery_maps
-from .loss import _stacked, _unit_columns
+from .loss import _stacked, _unit_columns, _ViewMatrices
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -225,117 +227,98 @@ def train(ds: MultiViewDataset | tuple[MultiViewDataset, ...], cfg: TrainConfig)
 # Model file io
 # ---------------------------------------------------------------------------
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
+# The model file's keys and their kinds (see ``from_json``), in the order they are checked. The
+# preprocessing record is read after the matrices, which give the lengths of its vectors.
+MODEL_FILE = {"schema_version": int, "P": ProjectionSet, "F": RecoverySet, "V": int, "d": int, "dims": list[int],
+              "preprocessing": dict | None, "config": TrainConfig}
 
 
-def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field; a bool is no number, a float no int, nor an int past float range a float."""
-    if annotation == "bool" or isinstance(value, bool):
-        return annotation == "bool" and isinstance(value, bool)
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is a ``kind`` (bool, int or float): a bool is no number, a float no int, nor an int
+    past float range a float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
     if isinstance(value, int):
-        return annotation != "float" or abs(value) <= sys.float_info.max
-    return annotation == "float" and isinstance(value, float)
+        return kind is int or kind is float and abs(value) <= sys.float_info.max
+    return kind is float and isinstance(value, float)
 
 
-def config_section(sec, name: str, cls, *skip: str) -> dict:
-    """The JSON object ``sec``, called ``name``, as keyword arguments of ``cls``.
-
-    Keys outside ``cls``'s fields (less ``skip``) and values whose JSON type
-    does not fit the field's annotation raise ValueError naming them.
-    """
-    if not isinstance(sec, dict):
-        raise ValueError(f"config '{name}' must be an object, got {sec!r}")
-    types = {f.name: f.type for f in fields(cls) if f.name not in skip}
-    extra = set(sec) - set(types)
-    if extra:
-        raise ValueError(f"config '{name}' has unknown keys {sorted(extra)}")
-    for key, value in sec.items():
-        if not _json_type_ok(value, types[key]):
-            raise ValueError(f"config '{name}.{key}' must be {types[key]}, got {value!r}")
-    return sec
-
-
-def config_from_sections(hyper, adam, train, names=("hyper", "adam", "train")) -> TrainConfig:
-    """A TrainConfig from its hyper, adam and train (max_iters, tol, seed) JSON sections.
-
-    ``names`` are the sections' paths in the source, for error messages.
-    Omitted keys take the defaults, except that ``hyper`` must set d.
-    """
-    hyper = config_section(hyper, names[0], HyperParams)
-    if "d" not in hyper:
-        raise ValueError(f"config '{names[0]}' section must set d")
-    adam = config_section(adam, names[1], AdamParams)
-    train = config_section(train, names[2], TrainConfig, "hp", "adam")
-    return TrainConfig(hp=HyperParams(**hyper), adam=AdamParams(**adam), **train)
-
-
-def config_from_dict(obj: dict) -> TrainConfig:
-    """Inverse of ``config_to_dict``, checked like a ``--config`` file."""
-    keys = set(obj)
-    if keys != {"hp", "adam", "max_iters", "tol", "seed"}:
-        raise ValueError(f"unexpected train config keys: {sorted(keys)}")
-    train = {k: obj[k] for k in ("max_iters", "tol", "seed")}
-    return config_from_sections(obj["hp"], obj["adam"], train, ("config.hp", "config.adam", "config"))
-
-
-def _stats_to_dict(stats: FeatureStats | None) -> dict | None:
-    if stats is None:
-        return None
-    return {
-        "center": stats.center,
-        "unit_variance": stats.unit_variance,
-        "means": [m.tolist() for m in stats.means],
-        "stds": None if stats.stds is None else [s.tolist() for s in stats.stds],
-    }
-
-
-def _stats_from_dict(obj, dims: list[int]) -> FeatureStats | None:
-    """A model's preprocessing record, checked against the views' feature counts ``dims``."""
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ValueError(f"model 'preprocessing' must be an object or null, got {obj!r}")
-    extra = set(obj) - {"center", "unit_variance", "means", "stds"}
-    if extra:
-        raise ValueError(f"model 'preprocessing' has unknown keys {sorted(extra)}")
-
-    def per_view(key, positive):
-        if not _number_lists(obj[key], dims):
-            raise ValueError(f"model 'preprocessing.{key}' must be {len(dims)} lists of numbers, of lengths {dims}")
-        rows = tuple(np.array(r, dtype=float) for r in obj[key])
-        # JSON's NaN and Infinity load as numbers; a std divides the data, so it must also be > 0
-        if not all(np.isfinite(r).all() and (not positive or (r > 0).all()) for r in rows):
-            raise ValueError(f"model 'preprocessing.{key}' must hold finite numbers{' > 0' if positive else ''}")
-        return rows
-
-    for key in ("center", "unit_variance"):
-        if not isinstance(obj[key], bool):
-            raise ValueError(f"model 'preprocessing.{key}' must be bool, got {obj[key]!r}")
-    return FeatureStats(
-        means=per_view("means", False),
-        stds=None if obj["stds"] is None else per_view("stds", True),
-        center=obj["center"],
-        unit_variance=obj["unit_variance"],
-    )
-
-
-def _number_lists(rows, lengths=None) -> bool:
-    """Whether ``rows`` is a list of lists of numbers (a bool is no number, as in ``_json_type_ok``),
-    as many as ``lengths`` and of those lengths, or without ``lengths`` any number of one length."""
+def _number_rows(rows, lengths=None) -> bool:
+    """Whether ``rows`` is a list of lists of numbers, as many as ``lengths`` and of those lengths, or
+    without ``lengths`` any number of one length."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         return False
     if lengths is None:  # one length, the first row's
         lengths = [len(r) for r in rows[:1]] * len(rows)
-    return [len(r) for r in rows] == list(lengths) and all(_json_type_ok(x, "float") for r in rows for x in r)
+    return [len(r) for r in rows] == list(lengths) and all(_fits(x, float) for r in rows for x in r)
 
 
-def _matrices(obj: dict, key: str) -> tuple[np.ndarray, ...]:
-    """A model's ``P`` or ``F``: a list of matrices, each a list of equal-length rows of numbers."""
-    mats = obj[key]
-    if not isinstance(mats, list) or not all(_number_lists(rows) for rows in mats):
-        raise TypeError(f"'{key}' must be a list of matrices, each a list of equal-length rows of numbers")
-    return tuple(np.array(rows, dtype=float) for rows in mats)
+def from_json(obj: dict, schema, doc: str, at: str = "", required=(), dims=None):
+    """The JSON object ``obj``, at key path ``at`` of the file that ``doc`` names, read by ``schema``.
+
+    ``schema`` is a dataclass, whose fields are its keys and whose field types are their kinds, read into an
+    instance; or a dict of key -> kind, read into a dict of the keys present. Keys are checked in the schema's
+    order. A key outside the schema, a missing key (a field without a default, or one of ``required``) and a
+    value not of its kind raise ValueError naming its key path. The kinds:
+
+    - bool, int and float, and a list of one of them (``list[int]``);
+    - ``dict``, any object, and a dataclass or dict schema, read by this function;
+    - ``ProjectionSet`` or ``RecoverySet``: V number matrices, each a list of equal-length rows;
+    - ``tuple[np.ndarray, ...]``: V finite number vectors of the lengths ``dims``, > 0 if annotated "> 0";
+    - any of these ``| None``, which also takes null.
+    """
+    where = f"{doc} '{at}'" if at else doc
+    if is_dataclass(schema):
+        required = [f.name for f in fields(schema) if f.default is MISSING]
+        kinds = get_type_hints(schema, include_extras=True)
+    else:
+        kinds = schema
+    extra = set(obj) - set(kinds)
+    if extra:
+        raise ValueError(f"{where} has unknown keys {sorted(extra)}")
+    out = {}
+    for key, kind in kinds.items():
+        if key in obj:
+            out[key] = _read(obj[key], kind, doc, f"{at}.{key}" if at else key, dims)
+        elif key in required:
+            raise ValueError(f"{where} lacks key '{key}'")
+    return schema(**out) if is_dataclass(schema) else out
+
+
+def _read(value, kind, doc: str, at: str, dims):
+    """``value``, at key path ``at``, read as a ``kind`` of ``from_json``."""
+    null = type(None) in get_args(kind)
+    if null:
+        if value is None:
+            return None
+        (kind,) = (k for k in get_args(kind) if k is not type(None))
+    if get_origin(kind) in (tuple, Annotated):
+        if _number_rows(value, dims):
+            rows = tuple(np.array(r, dtype=float) for r in value)
+            positive = "> 0" in getattr(kind, "__metadata__", ())
+            # JSON's NaN and Infinity load as numbers
+            if not all(np.isfinite(r).all() and (not positive or (r > 0).all()) for r in rows):
+                raise ValueError(f"{doc} '{at}' must hold finite numbers{' > 0' if positive else ''}")
+            return rows
+        what = f"{len(dims)} lists of numbers, of lengths {dims}"
+    elif get_origin(kind) is list:
+        (item,) = get_args(kind)
+        if isinstance(value, list) and all(_fits(x, item) for x in value):
+            return value
+        what = f"a list of {item.__name__}s"
+    elif isinstance(kind, type) and issubclass(kind, _ViewMatrices):
+        if isinstance(value, list) and all(_number_rows(rows) for rows in value):
+            return kind(tuple(value))
+        what = "a list of matrices, each a list of equal-length rows of numbers"
+    elif kind is dict or is_dataclass(kind) or isinstance(kind, dict):
+        if isinstance(value, dict):
+            return value if kind is dict else from_json(value, kind, doc, at, dims=dims)
+        what = "an object"
+    else:
+        if _fits(value, kind):
+            return value
+        what = kind.__name__
+    raise ValueError(f"{doc} '{at}' must be {what}{' or null' if null else ''}, got {reprlib.repr(value)}")
 
 
 def save_model(
@@ -346,24 +329,24 @@ def save_model(
     cfg: TrainConfig,
 ) -> None:
     """Write the learned parameters as JSON; floats round-trip exactly."""
-    obj = {
+    write_json(path, {
         "schema_version": MODEL_SCHEMA_VERSION,
         "V": P.V,
         "d": P.d,
-        "dims": [int(a.shape[0]) for a in P.mats],
-        "P": [a.tolist() for a in P.mats],
-        "F": [a.tolist() for a in F.mats],
-        "preprocessing": _stats_to_dict(stats),
-        "config": config_to_dict(cfg),
-    }
-    write_json(path, obj)
+        "dims": [a.shape[0] for a in P.mats],
+        "P": P.mats,
+        "F": F.mats,
+        "preprocessing": None if stats is None else asdict(stats),
+        "config": asdict(cfg),
+    })
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write ``obj`` to ``path`` as JSON, one space per indent level, keys sorted, newline-terminated;
-    floats round-trip exactly. The one JSON writer of the library, as ``read_json`` is its one reader."""
+    """Write ``obj`` to ``path`` as JSON, one space per indent level, keys sorted, newline-terminated; an array
+    is written as nested lists, and floats round-trip exactly. The one JSON writer of the library, as
+    ``read_json`` is its one reader."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -388,16 +371,12 @@ def load_model(path: str | Path):
     schema = obj.get("schema_version") if isinstance(obj, dict) else None
     if schema != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {schema!r}")
-    try:
-        P = ProjectionSet(_matrices(obj, "P"))
-        F = RecoverySet(_matrices(obj, "F"))
-        stats = _stats_from_dict(obj["preprocessing"], [a.shape[0] for a in P.mats])
-        cfg = config_from_dict(obj["config"])
-        recorded = [a.shape[0] for a in P.mats] == list(obj["dims"]) and P.d == obj["d"]
-    except KeyError as e:
-        raise ValueError(f"{path}: model file lacks key {e}") from None
-    except TypeError as e:
-        raise ValueError(f"{path}: malformed model file: {e}") from None
-    if not recorded:
-        raise DimError("model matrices do not match the recorded dimensions")
-    return P, F, stats, cfg
+    doc = f"{path}: malformed model file:"
+    model = from_json(obj, MODEL_FILE, doc, required=MODEL_FILE)
+    P, dims = model["P"], [a.shape[0] for a in model["P"].mats]
+    for key, value in (("V", P.V), ("d", P.d), ("dims", dims)):
+        if model[key] != value:
+            raise DimError(f"{doc} '{key}' is {model[key]!r}, but 'P' gives {value!r}")
+    pre = model["preprocessing"]
+    stats = None if pre is None else from_json(pre, FeatureStats, doc, "preprocessing", dims=dims)
+    return P, model["F"], stats, model["config"]

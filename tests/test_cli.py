@@ -279,6 +279,11 @@ def _with_stats(**changes):
     (_with_stats(stds=[[float("inf")] * 12, [1.0] * 10]), "'preprocessing.stds' must hold finite numbers > 0"),
     (_with_stats(means=[[float("nan")] * 12, [0.0] * 10]), "'preprocessing.means' must hold finite numbers"),
     (_with_stats(means=[[0.0] * 12, [-float("inf")] * 10]), "'preprocessing.means' must hold finite numbers"),
+    (MODEL | {"V": 7}, "'V' is 7, but 'P' gives 2"),
+    (MODEL | {"V": "two"}, "'V' must be int, got 'two'"),
+    (MODEL | {"bogus": 1}, "has unknown keys ['bogus']"),
+    (MODEL | {"d": True}, "'d' must be int, got True"),
+    (MODEL | {"dims": [12.0, 10.0]}, "'dims' must be a list of ints, got [12.0, 10.0]"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"

@@ -132,6 +132,9 @@ FLOAT_FLAGS = {"--noise", "--h", "--alpha", "--beta", "--sigma"}
 INTS = ["-1", "0", "1", "7"]  # small, so that no example allocates much
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "1e308"]
 DIMS = ["3", "0,4", "4,4,4", "", "x", "5,-4", "1,1"]
+# Values that start with "-" but are no plain number to argparse, which reads them as a flag in the
+# separate "--flag value" form. Drawn as often as the flag's own pool, so that the usage error is met.
+DASHED = ["-inf", "-nan", "-1e3", "-x"]
 # The files each command reads.
 READS = {
     "synth": [],
@@ -148,7 +151,7 @@ def _argv(command: str, root, draw) -> list:
         flags = dict(FLAGS[command])
         flag = draw(st.sampled_from(sorted(flags)))
         pool = DIMS if flag == "--dims" else FLOATS if flag in FLOAT_FLAGS else INTS
-        flags[flag] = draw(st.sampled_from(pool))
+        flags[flag] = draw(st.sampled_from(pool) | st.sampled_from(DASHED))
         out = ["--out", root / "synth"] if command == "synth" else []
         # "--noise=-inf" reads "-inf" as a value, "--noise -inf" as a missing one: a usage error
         joined = draw(st.booleans())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mvcl import (
     AdamParams,
     AdamState,
     DimError,
+    FeatureStats,
     HyperParams,
     NumericDivergence,
     ProjectionSet,
@@ -29,7 +31,7 @@ from mvcl import (
     total_loss,
     train,
 )
-from mvcl.optim import config_from_dict, config_to_dict
+from mvcl.optim import from_json
 from conftest import peak_alloc
 
 
@@ -389,6 +391,101 @@ def test_model_write_is_reproducible(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+# What save_model wrote for test_model_file_text_is_pinned's model before it wrote through dataclasses.asdict
+# and write_json's array-to-list default: the file format, byte for byte.
+PINNED_MODEL_TEXT = """{
+ "F": [
+  [
+   [
+    0.3333333333333333,
+    -0.0
+   ]
+  ],
+  [
+   [
+    -2.5e+17
+   ]
+  ]
+ ],
+ "P": [
+  [
+   [
+    0.5
+   ],
+   [
+    -1.25
+   ]
+  ],
+  [
+   [
+    1e-300
+   ]
+  ]
+ ],
+ "V": 2,
+ "config": {
+  "adam": {
+   "beta1": 0.9,
+   "beta2": 0.999,
+   "epsilon": 1e-08,
+   "gamma": 0.01
+  },
+  "hp": {
+   "alpha": 0.5,
+   "beta": 1.0,
+   "d": 1,
+   "fea_include_self_view": false,
+   "sigma1": 0.1,
+   "sigma2": 0.1,
+   "sigma3": 0.1
+  },
+  "max_iters": 7,
+  "seed": 3,
+  "tol": 0.0001
+ },
+ "d": 1,
+ "dims": [
+  2,
+  1
+ ],
+ "preprocessing": {
+  "center": true,
+  "means": [
+   [
+    0.25,
+    -1.0
+   ],
+   [
+    0.0
+   ]
+  ],
+  "stds": [
+   [
+    1.0,
+    0.5
+   ],
+   [
+    1e-12
+   ]
+  ],
+  "unit_variance": true
+ },
+ "schema_version": 1
+}
+"""
+
+
+def test_model_file_text_is_pinned(tmp_path):
+    P = ProjectionSet((np.array([[0.5], [-1.25]]), np.array([[1e-300]])))
+    F = RecoverySet((np.array([[1.0 / 3.0, -0.0]]), np.array([[-2.5e17]])))
+    stats = FeatureStats(center=True, unit_variance=True, means=(np.array([0.25, -1.0]), np.array([0.0])),
+                         stds=(np.array([1.0, 0.5]), np.array([1e-12])))
+    cfg = TrainConfig(hp=HyperParams(d=1, alpha=0.5, fea_include_self_view=False), adam=AdamParams(gamma=0.01),
+                      max_iters=7, tol=1e-4, seed=3)
+    save_model(tmp_path / "m.json", P, F, stats, cfg)
+    assert (tmp_path / "m.json").read_text() == PINNED_MODEL_TEXT
+
+
 def test_model_schema_version_checked(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 99}))
@@ -398,6 +495,6 @@ def test_model_schema_version_checked(tmp_path):
 
 def test_config_dict_roundtrip():
     cfg = TrainConfig(hp=HyperParams(d=4, alpha=0.5), max_iters=77, tol=1e-4, seed=9)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert from_json(asdict(cfg), TrainConfig, "config") == cfg
     with pytest.raises(ValueError):
-        config_from_dict({"bogus": 1})
+        from_json({"bogus": 1}, TrainConfig, "config")

@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import (
     FeatureStats,
-    MultiViewDataset,
     SplitPlan,
     default_synth_spec,
     load_views,
@@ -45,32 +44,33 @@ CONFIG_FILE = {
 }
 
 
-def _read_config(path: str | Path) -> tuple[TrainConfig, bool, bool]:
-    """A ``--config`` file: (cfg, center, unit_variance)."""
-    obj = read_json(path)
-    if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ValueError("config must be a JSON object declaring schema_version = 1")
-    sections = from_json(obj, CONFIG_FILE, "config", required=["hyper"])
-    cfg = TrainConfig(sections["hyper"], sections.get("adam", AdamParams()), **sections.get("train", {}))
-    pre = {"center": True, "unit_variance": False} | sections.get("preprocess", {})
-    return cfg, pre["center"], pre["unit_variance"]
+def _given(**flags) -> dict:
+    """The flags that were set: a flag left unset (None) takes its dataclass default."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
-def _flag_hyper(d: int, args) -> HyperParams:
-    """HyperParams from --alpha, --beta and --sigma, which sets all three temperatures."""
+def _hyper(hp: HyperParams, args, d: int | None = None) -> HyperParams:
+    """``hp`` under ``d`` and the objective flags: --alpha, --beta and --sigma, which sets all three temperatures."""
     s = args.sigma
-    return HyperParams(d=d, alpha=args.alpha, beta=args.beta, sigma1=s, sigma2=s, sigma3=s)
+    return dataclasses.replace(hp, **_given(d=d, alpha=args.alpha, beta=args.beta, sigma1=s, sigma2=s, sigma3=s))
 
 
-def _variant_label(hp: HyperParams) -> str:
-    return "CMC-ablation" if hp.alpha == 0.0 and hp.beta == 0.0 else "triple-head"
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _comma_list(text: str, flag: str, kind=str) -> tuple:
+    """The entries of the comma list ``text``, blank ones skipped, each read as a ``kind`` (str or int)."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise ValueError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
+def _out_path(path: str | Path, flag: str) -> Path:
+    """An output file's path, checked before any work, so that a bad one fails before the fits, not after them."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"{flag} {out} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +78,10 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    flags = {
-        "classes": args.classes,
-        "per_class": args.per_class,
-        "dims": _parse_int_list(args.dims, "--dims") if args.dims else None,
-        "shared_dims": args.shared,
-        "specific_dims": args.specific,
-        "redundant_copies": args.redundant,
-        "noise_std": args.noise,
-    }
-    spec = dataclasses.replace(default_synth_spec(seed=args.seed), **{k: v for k, v in flags.items() if v is not None})
+    dims = _comma_list(args.dims, "--dims", int) if args.dims else None
+    spec = dataclasses.replace(default_synth_spec(seed=args.seed), **_given(
+        classes=args.classes, per_class=args.per_class, dims=dims, shared_dims=args.shared,
+        specific_dims=args.specific, redundant_copies=args.redundant, noise_std=args.noise))
     ds = synth_generate(spec)
     outdir = Path(args.out)
     written = save_views(ds, outdir)
@@ -100,53 +94,41 @@ def _cmd_synth(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _merged_train_config(args) -> tuple[TrainConfig, bool, bool]:
-    """Defaults < config file < explicit flags; returns (cfg, center, unit_variance)."""
+def _train_config(args) -> tuple[TrainConfig, dict]:
+    """Defaults < the --config file < flags: the config and the preprocess flags (center, unit_variance)."""
     if args.config:
-        cfg, center, unit_variance = _read_config(args.config)
+        obj = read_json(args.config)
+        if not isinstance(obj, dict) or obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
+            raise ValueError("config must be a JSON object declaring schema_version = 1")
+        file = from_json(obj, CONFIG_FILE, "config", required=["hyper"])
     elif args.d is None:
         raise ValueError("subspace dimension required: pass --d or a config file")
     else:
-        cfg, center, unit_variance = TrainConfig(hp=HyperParams(d=args.d)), True, False
-
-    hp_flags = {"d": args.d, "alpha": args.alpha, "beta": args.beta}
-    if args.sigma is not None:
-        hp_flags.update(sigma1=args.sigma, sigma2=args.sigma, sigma3=args.sigma)
-    train_flags = {"max_iters": args.max_iters, "tol": args.tol, "seed": args.seed}
-    hp = dataclasses.replace(cfg.hp, **{k: v for k, v in hp_flags.items() if v is not None})
-    cfg = dataclasses.replace(cfg, hp=hp, **{k: v for k, v in train_flags.items() if v is not None})
-    if args.center is not None:
-        center = args.center
-    if args.unit_variance is not None:
-        unit_variance = args.unit_variance
-    return cfg, center, unit_variance
+        file = {"hyper": HyperParams(d=args.d)}
+    cfg = TrainConfig(file["hyper"], file.get("adam", AdamParams()), **file.get("train", {}))
+    cfg = dataclasses.replace(cfg, hp=_hyper(cfg.hp, args, args.d),
+                              **_given(max_iters=args.max_iters, tol=args.tol, seed=args.seed))
+    pre = {"center": True, "unit_variance": False} | file.get("preprocess", {})
+    return cfg, pre | _given(center=args.center, unit_variance=args.unit_variance)
 
 
 def _cmd_train(args) -> int:
-    paths = [p for p in args.views.split(",") if p]
-    ds = load_views(paths, header=args.header)
-    cfg, center, unit_variance = _merged_train_config(args)
-    ds_p, stats = preprocess(ds, center, unit_variance)
+    out = _out_path(args.out, "--out")
+    report_path = _out_path(args.report or out.with_suffix(".report.json"), "--report")
+    ds = load_views(_comma_list(args.views, "--views"), header=args.header)
+    cfg, pre = _train_config(args)
+    ds_p, stats = preprocess(ds, **pre)
     P, F, report = train(ds_p, cfg)
 
-    out = Path(args.out)
     save_model(out, P, F, stats, cfg)
-    report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
-    write_json(
-        report_path,
-        {
-            "schema_version": 1,
-            "variant": _variant_label(cfg.hp),
-            "final_loss": report.losses[-1],
-            "initial_loss": report.losses[0],
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "losses": list(report.losses),
-            "preprocessing": {"center": center, "unit_variance": unit_variance},
-            "config": dataclasses.asdict(cfg),
-            "wall_ms": report.wall_ms,
-        },
-    )
+    write_json(report_path, dataclasses.asdict(report) | {
+        "schema_version": 1,
+        "variant": "CMC-ablation" if cfg.hp.alpha == cfg.hp.beta == 0.0 else "triple-head",
+        "final_loss": report.losses[-1],
+        "initial_loss": report.losses[0],
+        "preprocessing": pre,
+        "config": dataclasses.asdict(cfg),
+    })
     print(
         f"final_loss={report.losses[-1]:.6f} converged={report.converged} "
         f"iterations={report.iterations} model={out}"
@@ -160,8 +142,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     P, _, stats, _ = load_model(args.model)
-    gallery = load_views(args.train_views.split(","), args.train_labels, header=args.header)
-    query = load_views(args.views.split(","), args.labels, header=args.header)
+    gallery = load_views(_comma_list(args.train_views, "--train-views"), args.train_labels, header=args.header)
+    query = load_views(_comma_list(args.views, "--views"), args.labels, header=args.header)
     P.check(gallery, P.d)  # before the stats are applied, so that the message names the projection
     if stats is not None:
         gallery, _ = preprocess(gallery, stats=stats)
@@ -178,11 +160,11 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gradcheck(args) -> int:
-    dims = _parse_int_list(args.dims, "--dims")
+    dims = _comma_list(args.dims, "--dims", int)
     if len(dims) != args.views:
         raise ValueError(f"--dims names {len(dims)} views but --views is {args.views}")
     ds, P, F = random_instance(args.seed, V=args.views, n=args.n, dims=dims, d=args.d)
-    hp = _flag_hyper(args.d, args)
+    hp = _hyper(HyperParams(d=args.d), args)
     dP = grad_wrt_P(P, F, ds, hp)
     dF = grad_wrt_F(P, F, ds, hp)
 
@@ -211,30 +193,23 @@ def _cmd_gradcheck(args) -> int:
 # benchmark
 # ---------------------------------------------------------------------------
 
-def _load_data_dir(dirpath: str | Path, header: bool) -> MultiViewDataset:
-    d = Path(dirpath)
-    views = sorted(p for p in d.glob("view*.csv"))
-    labels = d / "labels.csv"
-    if not views or not labels.exists():
-        raise ValueError(f"{d}: expected view*.csv files and labels.csv")
-    return load_views(views, labels, header=header)
-
-
 def _cmd_benchmark(args) -> int:
     if args.train_seed < 0:  # the split seed --seed may be negative, so name the flag
         raise ValueError(f"--train-seed must be >= 0, got {args.train_seed}")
-    out = Path(args.out)  # checked here, so that a bad path fails before the fits, not after them
-    if out.is_dir():
-        raise IsADirectoryError(f"--out {out} is a directory")
-    if not out.parent.is_dir():
-        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
-    ds = _load_data_dir(args.data, args.header)
-    plan = SplitPlan(M=args.M, repeats=args.repeats, seed=args.seed)
-    sweep = list(_parse_int_list(args.d_sweep, "--d-sweep")) if args.d_sweep else default_d_sweep(ds.dims)
+    out = _out_path(args.out, "--out")
+    twin = _out_path(out.with_suffix(".json"), "--out")
+    data = Path(args.data)
+    views = sorted(data.glob("view*.csv"))
+    labels = data / "labels.csv"
+    if not views or not labels.exists():
+        raise ValueError(f"{data}: expected view*.csv files and labels.csv")
+    ds = load_views(views, labels, header=args.header)
+    plan = SplitPlan(M=args.M, **_given(repeats=args.repeats, seed=args.seed))
+    sweep = list(_comma_list(args.d_sweep, "--d-sweep", int)) if args.d_sweep else default_d_sweep(ds.dims)
     if not sweep:
         raise ValueError("empty d sweep; pass --d-sweep")
-    hp = _flag_hyper(sweep[0], args)
-    cfg = TrainConfig(hp=hp, max_iters=args.max_iters, tol=args.tol, seed=args.train_seed)
+    hp = _hyper(HyperParams(d=sweep[0]), args)
+    cfg = TrainConfig(hp=hp, max_iters=args.max_iters, seed=args.train_seed, **_given(tol=args.tol))
 
     report = benchmark(ds, cfg, plan, d_sweep=sweep)
     ablation = None
@@ -249,7 +224,7 @@ def _cmd_benchmark(args) -> int:
 
     with open(out, "w", newline="") as fh:
         fh.write(csv_text)
-    write_json(out.with_suffix(".json"), payload)
+    write_json(twin, payload)
 
     for row, ab, diff in paired_rows(report, ablation):
         line = f"{row.label:>6}  {row.mean_acc:6.2f} +- {row.std_acc:5.2f}  (d={row.d})"
@@ -277,6 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view linear feature extraction with triple contrastive heads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the objective's flags, unset by default: an unset one takes its HyperParams default
+    objective = argparse.ArgumentParser(add_help=False)
+    objective.add_argument("--alpha", type=float, default=None)
+    objective.add_argument("--beta", type=float, default=None)
+    objective.add_argument("--sigma", type=float, default=None, help="sets all three temperatures")
 
     p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
     p.add_argument("--classes", type=int, default=None)
@@ -290,15 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="fit projections on view CSVs")
+    p = sub.add_parser("train", parents=[objective], help="fit projections on view CSVs")
     p.add_argument("--views", type=str, required=True, help="comma list of view CSVs")
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--out", type=str, required=True, help="model JSON path")
     p.add_argument("--report", type=str, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="sets all three temperatures")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
@@ -317,30 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="certify analytic gradients against finite differences")
+    p = sub.add_parser("gradcheck", parents=[objective], help="certify analytic gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--views", type=int, default=2)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--dims", type=str, default="6,5")
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("benchmark", help="repeated-split 1-NN benchmark")
+    p = sub.add_parser("benchmark", parents=[objective], help="repeated-split 1-NN benchmark")
     p.add_argument("--data", type=str, required=True, help="directory with view*.csv and labels.csv")
     p.add_argument("--M", type=int, required=True, help="training samples per class")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--d-sweep", type=str, default=None, help="comma list of subspace dims")
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=int, default=None, help="split seed")
     p.add_argument("--train-seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--ablate", choices=["cmc"], default=None)
     p.add_argument("--out", type=str, required=True, help="report CSV path")
     p.add_argument("--header", action="store_true")

@@ -377,6 +377,9 @@ def load_model(path: str | Path):
     for key, value in (("V", P.V), ("d", P.d), ("dims", dims)):
         if model[key] != value:
             raise DimError(f"{doc} '{key}' is {model[key]!r}, but 'P' gives {value!r}")
+    shapes, want = [a.shape for a in model["F"].mats], [(P.d, D) for D in dims]
+    if shapes != want:
+        raise DimError(f"{doc} 'F' has shapes {shapes}, but 'P' gives {want}")
     pre = model["preprocessing"]
     stats = None if pre is None else from_json(pre, FeatureStats, doc, "preprocessing", dims=dims)
     return P, model["F"], stats, model["config"]

@@ -1,20 +1,24 @@
+import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import mvcl.cli
 import mvcl.evaluate
 from mvcl import (
     AdamParams,
     HyperParams,
     ProjectionSet,
     RecoverySet,
+    SplitPlan,
     TrainConfig,
     load_model,
     load_views,
     save_model,
 )
-from mvcl.cli import main
+from mvcl.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -200,6 +204,22 @@ def test_eval_fused_strategy(synth_dir, tmp_path, capsys):
     assert "II accuracy=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--views", "--train-views"])
+def test_eval_comma_list_skips_blank_entries(synth_dir, tmp_path, capsys, flag):
+    # as train's --views does: a trailing or doubled comma names no file
+    model, views = _train_model(synth_dir, tmp_path)
+    labels = str(synth_dir / "labels.csv")
+
+    def run_eval(**lists):
+        argv = {"--views": views, "--train-views": views} | lists
+        assert run_cli("eval", "--model", str(model), "--labels", labels, "--train-labels", labels,
+                       *(x for kv in argv.items() for x in kv)) == 0
+        return capsys.readouterr().out
+
+    capsys.readouterr()
+    assert run_eval(**{flag: f"{views},, ,"}) == run_eval()
+
+
 def test_eval_dim_mismatch_exits_2(synth_dir, tmp_path):
     other = tmp_path / "other"
     assert run_cli("synth", "--classes", "2", "--per-class", "4", "--dims", "9,9",
@@ -284,6 +304,9 @@ def _with_stats(**changes):
     (MODEL | {"bogus": 1}, "has unknown keys ['bogus']"),
     (MODEL | {"d": True}, "'d' must be int, got True"),
     (MODEL | {"dims": [12.0, 10.0]}, "'dims' must be a list of ints, got [12.0, 10.0]"),
+    (MODEL | {"F": [[[1.0] * 12]]}, "'F' has shapes [(1, 12)], but 'P' gives [(1, 12), (1, 10)]"),
+    (MODEL | {"F": [[[1.0] * 3], [[1.0] * 10]]}, "'F' has shapes [(1, 3), (1, 10)], but 'P' gives"),
+    (MODEL | {"F": [[[1.0] * 12] * 2, [[1.0] * 10] * 2]}, "'F' has shapes [(2, 12), (2, 10)], but 'P' gives"),
 ])
 def test_eval_incomplete_model_exits_2(synth_dir, tmp_path, capsys, payload, message):
     model = tmp_path / "partial.json"
@@ -554,7 +577,7 @@ def test_benchmark_io_failure_exits_3(synth_dir, tmp_path):
                    "--out", str(missing)) == 3
 
 
-@pytest.mark.parametrize("where", ["a directory", "under a missing directory"])
+@pytest.mark.parametrize("where", ["a directory", "under a missing directory", "a directory at its JSON twin"])
 def test_benchmark_checks_out_before_the_first_fit(synth_dir, tmp_path, capsys, monkeypatch, where):
     fits, train = [], mvcl.evaluate.train
 
@@ -564,9 +587,31 @@ def test_benchmark_checks_out_before_the_first_fit(synth_dir, tmp_path, capsys, 
 
     monkeypatch.setattr(mvcl.evaluate, "train", counted)
     out = tmp_path if where == "a directory" else tmp_path / "missing" / "rep.csv"
+    if where == "a directory at its JSON twin":
+        out = tmp_path / "rep.csv"
+        out.with_suffix(".json").mkdir()
     assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4", "--repeats", "1",
                    "--d-sweep", "3", "--max-iters", "2", "--out", str(out)) == 3
     assert capsys.readouterr().err.count("\n") == 1 and fits == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+@pytest.mark.parametrize("where", ["a directory", "under a missing directory"])
+def test_train_checks_out_before_the_fit(synth_dir, tmp_path, capsys, monkeypatch, flag, where):
+    fits, train = [], mvcl.cli.train
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mvcl.cli, "train", counted)
+    bad = tmp_path if where == "a directory" else tmp_path / "missing" / "m.json"
+    model = tmp_path / "m.json"
+    paths = ["--out", str(bad)] if flag == "--out" else ["--out", str(model), "--report", str(bad)]
+    assert run_cli("train", "--views", f"{synth_dir}/view1.csv,{synth_dir}/view2.csv", "--d", "2",
+                   "--max-iters", "2", *paths) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and fits == [] and not model.exists()
 
 
 def test_benchmark_pure_noise_is_at_chance(tmp_path):
@@ -639,3 +684,44 @@ def test_config_file_values_reach_the_model(synth_dir, tmp_path):
 def test_config_file_revalidates_invariants(synth_dir, tmp_path, capsys):
     assert _train_with_config(synth_dir, tmp_path, {"schema_version": 1, "hyper": {"d": 0}}) == 2
     assert capsys.readouterr().err == "error: d must be >= 1\n"
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+# Each subcommand's option strings, captured before the objective flags (--alpha, --beta, --sigma) moved to one
+# parent parser: no flag is lost or renamed.
+OPTIONS = {
+    "synth": {"--classes", "--dims", "--help", "--noise", "--out", "--per-class", "--redundant", "--seed",
+              "--shared", "--specific", "-h"},
+    "train": {"--alpha", "--beta", "--center", "--config", "--d", "--header", "--help", "--max-iters",
+              "--no-center", "--no-unit-variance", "--out", "--report", "--seed", "--sigma", "--tol",
+              "--unit-variance", "--views", "-h"},
+    "eval": {"--header", "--help", "--labels", "--model", "--strategy", "--train-labels", "--train-views",
+             "--views", "-h"},
+    "gradcheck": {"--alpha", "--beta", "--d", "--dims", "--h", "--help", "--n", "--seed", "--sigma", "--views",
+                  "-h"},
+    "benchmark": {"--M", "--ablate", "--alpha", "--beta", "--d-sweep", "--data", "--header", "--help",
+                  "--max-iters", "--out", "--repeats", "--seed", "--sigma", "--tol", "--train-seed", "-h"},
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()} == OPTIONS
+
+
+def test_unset_flags_take_the_dataclass_defaults(synth_dir, tmp_path, monkeypatch):
+    seen, grad = [], mvcl.cli.grad_wrt_P
+    monkeypatch.setattr(mvcl.cli, "grad_wrt_P", lambda P, F, ds, hp: seen.append(hp) or grad(P, F, ds, hp))
+    assert run_cli("gradcheck") == 0
+    assert seen == [HyperParams(d=3)]
+
+    out = tmp_path / "r.csv"
+    assert run_cli("benchmark", "--data", str(synth_dir), "--M", "4", "--d-sweep", "3", "--max-iters", "2",
+                   "--out", str(out)) == 0
+    config = json.loads(out.with_suffix(".json").read_text())["report"]["config"]
+    cfg, plan = TrainConfig(HyperParams(d=3)), SplitPlan(M=4)
+    assert config["train"]["hp"] == asdict(cfg.hp) and config["train"]["tol"] == cfg.tol
+    assert (config["repeats"], config["split_seed"]) == (plan.repeats, plan.seed)

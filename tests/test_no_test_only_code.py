@@ -2,11 +2,15 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcl"
+# Public names that only tests and perfbench read: each head's loss alone, which the acceptance suite imports
+# and perfbench's tracer times.
+ALLOWED = {"loss.sample_level_loss", "loss.feature_level_loss", "loss.recovery_level_loss"}
 
 
 def _unread(sources: dict[str, str]) -> set[str]:
     """``module.name`` of each top-level function and class in ``sources`` (file name -> text) that no
-    top-level statement of any file reads and that ``__init__.py`` does not import: code only tests use.
+    top-level statement of any file reads: code only tests (or perfbench) use. An import is no read, so a
+    name that ``__init__.py`` exports is flagged too unless the library reads it.
 
     Reads are matched by name (a loaded name or an attribute), so a name read anywhere counts for every
     definition of it; a definition's reads of its own name do not count.
@@ -23,9 +27,6 @@ def _unread(sources: dict[str, str]) -> set[str]:
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
-                elif isinstance(node, ast.ImportFrom) and module == "__init__":
-                    reads.update(a.name for a in node.names)
-                    continue
                 else:
                     continue
                 if name != own:
@@ -35,19 +36,20 @@ def _unread(sources: dict[str, str]) -> set[str]:
 
 def test_guard_flags_code_that_only_tests_read():
     sources = {
-        "__init__.py": "from .a import public\n",
+        "__init__.py": "from .a import public, exported\n",
         "a.py": (
             "def public():\n    return helper()\n"
             "def helper():\n    return 1\n"
             "def only_tests(k):\n    return only_tests(k - 1) if k else 0\n"
             "class Unused:\n    pass\n"
+            "def exported():\n    return 2\n"
         ),
-        "b.py": "from .a import only_tests\n",  # an import outside __init__.py is no read
+        "b.py": "from .a import only_tests\nVALUE = public()\n",  # an import is no read
     }
-    assert _unread(sources) == {"a.only_tests", "a.Unused"}
+    assert _unread(sources) == {"a.only_tests", "a.Unused", "a.exported"}
 
 
 def test_every_library_definition_is_read_by_the_library():
     files = sorted(SRC.glob("*.py"))
     assert files
-    assert _unread({f.name: f.read_text() for f in files}) == set()
+    assert _unread({f.name: f.read_text() for f in files}) == ALLOWED

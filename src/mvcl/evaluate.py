@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
-from .loss import ProjectionSet, _batch_limit, embeddings
+from .loss import _SPLIT, ProjectionSet, _batch_limit, _threads, embeddings
 from .optim import TrainConfig, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -95,19 +95,6 @@ def default_d_sweep(dims: tuple[int, ...]) -> list[int]:
     return list(range(5, cap + 1, 5))
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("MVCL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"MVCL_THREADS must be an integer, got {raw!r}") from None
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
-
-
 def benchmark(
     ds: MultiViewDataset,
     cfg: TrainConfig,
@@ -123,8 +110,9 @@ def benchmark(
     The repeats share n (M per class), so those of one grid point train in
     lockstep, one ``train`` call per batch of at most ``loss._batch_limit(V, n, d)``
     (all 5 of the c6 protocol's at n = 18; one above n = 64 at V = 2), each fit
-    with its result alone. Batches may run in parallel (MVCL_THREADS); results do
-    not depend on the schedule. A failed repeat raises BenchmarkError naming it.
+    with its result alone. With MVCL_THREADS set, batches run on that many
+    threads, whose fits split no logit block; results do not depend on the
+    schedule. A failed repeat raises BenchmarkError naming it.
     """
     if ds.labels is None:
         raise LabelsRequired("benchmark needs a labelled dataset")
@@ -155,12 +143,9 @@ def benchmark(
         except Exception as e:  # not one fit's failure: name every repeat of the batch
             raise BenchmarkError(f"repeats {list(repeats)} failed: {e}") from e
 
-    workers = _worker_count(len(batches))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(run, batches))
-    else:
-        trained = [run(b) for b in batches]
+    workers = min(_threads(), len(batches)) if os.environ.get("MVCL_THREADS", "").strip() else 1
+    with ThreadPoolExecutor(workers, initializer=_SPLIT.set, initargs=(False,)) as pool:  # its fits run whole
+        trained = list((pool.map if workers > 1 else map)(run, batches))
 
     fitted = {(r, d): P for (d, repeats), Ps in zip(batches, trained) for r, P in zip(repeats, Ps)}
     per_repeat = []

@@ -24,7 +24,8 @@ never held as a unit-column copy; each head returns B losses. Each head runs all
 its view pairs as one batched block: the sample head its V anchor views, the
 recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
-Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs: one
+Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs, and
+over the slabs that a large block runs in on several threads (``_xent``): one
 ROWS x kn logit block is alive. A batch holds at most ``_batch_limit`` fits, so
 that each fit runs in one row block, as it does alone, and gets its result alone.
 Every expectation is an arithmetic mean over the anchor index and a plain sum over
@@ -34,7 +35,10 @@ fixed left-to-right ordering for reproducibility.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -166,6 +170,23 @@ def _batch_limit(V: int, n: int, d: int) -> int:
 # logits and ties every logit's rounding to its row maximum.
 SHIFT_ABOVE = 600.0
 
+# A logit block of at least this many entries runs in slabs of its leading fit x view axes, one per thread
+# (``_threads``); a smaller one runs whole on the calling thread, as do all on benchmark's batch threads (_SPLIT).
+# Measured on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at
+# n = 600, 153,600 logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
+SPLIT_FROM = 200_000
+_SPLIT = contextvars.ContextVar("mvcl_split", default=True)
+_pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
+
+
+def _threads() -> int:
+    """The threads MVCL_THREADS asks for: unset, the CPUs this process may run on; 0, one per CPU."""
+    raw = os.environ.get("MVCL_THREADS", "").strip()
+    if raw and not raw.isdecimal():
+        raise ValueError(f"MVCL_THREADS must be an integer >= 0, got {raw!r}")
+    mine = os.sched_getaffinity(0) if not raw and hasattr(os, "sched_getaffinity") else ()
+    return len(mine) or int(raw or 0) or os.cpu_count() or 1
+
 
 def cosine_logits(Ah: np.ndarray, Bh: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """All-pairs temperature-scaled cosines of unit columns: S = Ah^T (Bh / sigma), into ``out`` if given.
@@ -222,44 +243,71 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     return G
 
 
-def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
-    """Softmax cross-entropy along the last axis of S (B, ..., c, kn), a block of anchor rows r0.. of B fits
-    or a batch of them, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of
-    every head. Returns (each fit's summed row losses (B,), E = rs * dloss/dS in place of S, 1/rs), or None
-    for both without ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out
-    of its row, and a row whose one finite entry is its positive gives a loss and gradient of exactly 0."""
-    pidx = _positive_index(S.shape, k, r0)
-    if 1.0 / sigma > SHIFT_ABOVE:
-        pos = S.take(pidx)
-        top = S.max(axis=-1, keepdims=True)
-        S -= top
-        pos -= top
-        E = np.exp(S, out=S)
-        rs = np.add.reduce(E, axis=-1)
-        # exp of a positive far below its row maximum underflows: stay in logs.
-        lpos = np.logaddexp.reduce(pos, axis=-1)
-        loss = np.add.reduce(np.log(rs).reshape(len(S), -1), axis=1) - np.add.reduce(lpos.reshape(len(S), -1), axis=1)
-        pos, scale = np.exp(pos - lpos[..., None]), rs
+def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0, fill=None, then=None, *arrays, rows=False):
+    """Softmax cross-entropy along the last axis of S (B, V, ..., c, kn), a block of anchor rows r0.. of B fits
+    and their V views, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every
+    head. Returns (each fit's summed row losses (B,), E = rs * dloss/dS in place of S, 1/rs), or None for both
+    without ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row,
+    and a row whose one finite entry is its positive gives a loss and gradient of exactly 0.
+
+    fill(S, *arrays), if given, first forms the logits, and with ``grad`` then(E, 1/rs, *arrays) uses the
+    gradient. A block of ``SPLIT_FROM`` entries or more runs in slabs, one per thread: the merged fit x view
+    entries of S and the arrays cut into contiguous ranges, the last run here and the rest on the pool, each
+    in a copy of the caller's context (so under its numpy error state). Each slab returns its ``rows`` (the row
+    losses' terms, 1/rs), and each fit's are summed once every slab has finished.
+    """
+    global _pool
+    n = min(_threads(), S.shape[0] * S.shape[1]) if S.size >= SPLIT_FROM and not rows and _SPLIT.get() else 1
+    if n > 1:
+        if _pool[0] != (os.getpid(), n):
+            _pool = ((os.getpid(), n), ThreadPoolExecutor(n - 1))
+        flat = [a.reshape(-1, *a.shape[2:]) for a in (S, *arrays)]
+        cuts = [len(flat[0]) * i // n for i in range(n + 1)]
+        slabs = [[a[i:j] for a in flat] for i, j in zip(cuts, cuts[1:])]
+        args = sigma, k, grad, r0, fill, then
+        rest = [_pool[1].submit(contextvars.copy_context().run, _xent, s[0], *args, *s[1:], rows=True) for s in slabs[:-1]]
+        try:
+            last = _xent(slabs[-1][0], *args, *slabs[-1][1:], rows=True)
+        finally:
+            wait(rest)
+        parts = [*(f.result() for f in rest), last]
+        terms = [np.concatenate(t) for t in zip(*(p[0] for p in parts))]  # in the block's layout
+        inv = np.concatenate([p[1] for p in parts]).reshape(S.shape[:-1]) if grad else None
     else:
-        E = np.exp(S, out=S)
-        rs = np.add.reduce(E, axis=-1)
-        pos = E.take(pidx)
-        # From E itself, so that a row whose only entry is its positive gives exactly 0.
-        scale = rs / np.add.reduce(pos, axis=-1)
-        loss = np.add.reduce(np.log(scale).reshape(len(S), -1), axis=1)
-    if not grad:
-        return loss, None, None
-    # rs * (softmax over the row - softmax over the row's positives)
-    E.ravel()[pidx] -= pos * scale[..., None]
-    return loss, E, 1.0 / rs
-
-
-def _accumulate(acc, part: np.ndarray) -> np.ndarray:
-    """acc + part, in place into acc; the first part itself when acc is None."""
-    if acc is None:
-        return part
-    acc += part
-    return acc
+        if fill is not None:
+            fill(S, *arrays)
+        pidx = _positive_index(S.shape, k, r0)
+        if 1.0 / sigma > SHIFT_ABOVE:
+            pos = S.take(pidx)
+            top = S.max(axis=-1, keepdims=True)
+            S -= top
+            pos -= top
+            E = np.exp(S, out=S)
+            rs = np.add.reduce(E, axis=-1)
+            # exp of a positive far below its row maximum underflows: stay in logs.
+            terms = np.log(rs), np.logaddexp.reduce(pos, axis=-1)
+            pos, scale = np.exp(pos - terms[1][..., None]), rs
+        else:
+            E = np.exp(S, out=S)
+            rs = np.add.reduce(E, axis=-1)
+            pos = E.take(pidx)
+            # From E itself, so that a row whose only entry is its positive gives exactly 0.
+            scale = rs / np.add.reduce(pos, axis=-1)
+            terms = (np.log(scale),)
+        inv = None
+        if grad:
+            # rs * (softmax over the row - softmax over the row's positives)
+            E.ravel()[pidx] -= pos * scale[..., None]
+            inv = 1.0 / rs
+            del pos, scale, rs  # before the caller's arithmetic, which may peak
+            if then is not None:
+                then(E, inv, *arrays)
+        if rows:
+            return terms, inv
+    loss = np.add.reduce(terms[0].reshape(len(S), -1), axis=1)
+    if len(terms) > 1:
+        loss -= np.add.reduce(terms[1].reshape(len(S), -1), axis=1)
+    return loss, S if grad else None, inv
 
 
 def _col_norms(A: np.ndarray) -> np.ndarray:
@@ -322,22 +370,26 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
     c = max(1, ROWS // (B * V))
     scale = 1.0 / (n * sigma)
-    total, dC = 0.0, None
-    dY = np.empty(Yh.shape) if grad else None
+    total = 0.0
+    dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
+
+    def then(E, inv, A, C, dY, dC):  # a slab's rows of dY and its share of the candidates' gradient dC
+        inv = inv[..., None, :] * scale
+        np.matmul(C, E.swapaxes(-1, -2), out=dY)
+        dY *= inv
+        if r0 == 0:
+            np.matmul(A * inv, E, out=dC)
+        else:
+            dC += (A * inv) @ E
+
     for r0 in range(0, n, c):
         rows = slice(r0, r0 + c)
         A = Yh[..., rows]
         S = np.empty((B, V, A.shape[3], C.shape[3]))
         for b, a in product(range(B), range(V)):
             cosine_logits(A[b, a], C[b, a], sigma, out=S[b, a])
-        loss, E, inv = _xent(S, sigma, V - 1, grad, r0)
-        total += loss
-        if grad:
-            inv = inv[:, :, None, :] * scale
-            np.matmul(C, E.swapaxes(2, 3), out=dY[..., rows])
-            dY[..., rows] *= inv
-            dC = _accumulate(dC, (A * inv) @ E)
-        del S, E  # so that the next block is formed after this one is freed
+        total += _xent(S, sigma, V - 1, grad, r0, None, then, *((A, C, dY[..., rows], dC) if grad else ()))[0]
+        del S  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -404,25 +456,35 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = Fal
     U /= nz[..., None, :]
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
     rows = max(1, ROWS // (B * V * (V - 1)))
-    total, WE, dF = 0.0, None, [None] * V
+    total, dF = 0.0, [None] * V
+    WE = np.empty(U.shape) if grad else None
+
+    def fill(S, W, U, *_):  # a slab's logits
+        np.matmul((W / sigma).swapaxes(-1, -2), U, out=S)
+
+    def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
+        inv = inv[..., None, :]
+        part = W * inv
+        if r0 == 0:
+            np.matmul(part, E, out=WE)
+        else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
+            for p in product(*map(range, E.shape[:-2])):
+                WE[p] += part[p] @ E[p]
+        if UE is not None:
+            np.matmul(U, E.swapaxes(-1, -2), out=UE)
+            UE *= c * inv
+
     for r0 in range(0, n, rows):
-        Wr = W[:, :, None, :, r0 : r0 + rows]
-        loss, E, inv = _xent((Wr / sigma).swapaxes(3, 4) @ U, sigma, 1, grad, r0)
-        total += loss
-        if grad:
-            inv = inv[..., None, :]
-            part = Wr * inv
-            if WE is None:
-                WE = part @ E
-            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
-                for p in product(range(B), range(V), range(V - 1)):
-                    WE[p] += part[p] @ E[p]
-        if want_dF:
-            A = np.add.reduce((U @ E.swapaxes(3, 4)) * (c * inv), axis=2)
-            cols = slice(r0, r0 + rows)  # this block's columns of Xh, formed for its one product
-            views = zip(dF, A.swapaxes(0, 1), X, nx)  # a = A[:, m]: view m's share of every fit
-            dF = [_accumulate(g, a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)) for g, a, x, s in views]
-        del E  # so that the next block is formed after this one is freed
+        cols = slice(r0, r0 + rows)
+        S = np.empty((B, V, V - 1, min(rows, n - r0), n))
+        UE = np.empty((B, V, V - 1, d, S.shape[3])) if want_dF else None
+        grads = (WE, UE) if want_dF else (WE,) if grad else ()
+        total += _xent(S, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
+        if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
+            for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
+                part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
+                dF[m] = part if r0 == 0 else dF[m] + part
+        del S  # so that the next block is formed after this one is freed
     if not grad:
         return total / n, None, None
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)

@@ -26,7 +26,7 @@ from .data import FeatureStats, MultiViewDataset
 from .errors import DimError, NumericDivergence
 from .grad import grad_wrt_P  # noqa: F401  (the benchmark's tracer rebinds this name)
 from .loss import HyperParams, ProjectionSet, RecoverySet, _batch_limit, _col_norms, _f_head, _p_heads, _recovery_maps
-from .loss import _stacked, _unit_columns, _ViewMatrices
+from .loss import _stacked, _threads, _unit_columns, _ViewMatrices
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -146,6 +146,7 @@ def train(ds: MultiViewDataset | tuple[MultiViewDataset, ...], cfg: TrainConfig)
     NumericDivergence naming the fit (``fit``, its index in the batch), not as numpy warnings.
     """
     t0 = time.perf_counter()
+    _threads()  # a bad MVCL_THREADS raises here, whatever the size of the fit
     fits = ds if isinstance(ds, tuple) else (ds,)
     if not fits:
         raise ValueError("no datasets to train on")

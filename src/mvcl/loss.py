@@ -24,10 +24,10 @@ never held as a unit-column copy; each head returns B losses. Each head runs all
 its view pairs as one batched block: the sample head its V anchor views, the
 recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
-Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs, and
-over the slabs that a large block runs in on several threads (``_xent``): one
-ROWS x kn logit block is alive. A batch holds at most ``_batch_limit`` fits, so
-that each fit runs in one row block, as it does alone, and gets its result alone.
+Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs and over the
+slabs of a large block (``_xent``): one ROWS x kn logit block is alive, or one slab of
+each of two heads side by side (``_recovery_head``). A batch holds at most ``_batch_limit``
+fits, so that each fit runs in one row block, as it does alone, and gets its result alone.
 Every expectation is an arithmetic mean over the anchor index and a plain sum over
 view pairs, so loss magnitudes do not grow with n. Accumulation is float64 with a
 fixed left-to-right ordering for reproducibility.
@@ -164,19 +164,28 @@ def _batch_limit(V: int, n: int, d: int) -> int:
     head, which implies the sample head's B V n <= ROWS, and B V^2 d <= ROWS for the feature head."""
     return max(1, min(ROWS // (V * (V - 1) * n), ROWS // (V * V * d)))
 
-# Every logit lies in [-1/sigma, 1/sigma], so up to this inverse temperature
-# exp(S) and its row sums stay finite and nonzero. Only above it is the
-# softmax shifted by the row maximum: the shift costs two passes over the
-# logits and ties every logit's rounding to its row maximum.
-SHIFT_ABOVE = 600.0
+# Every logit lies in [-1/sigma, 1/sigma]. Unshifted, a row of kn logits has rs <= kn e^(1/sigma) and positives
+# summing to >= e^(-1/sigma), so rs and rs / positives <= kn e^(2/sigma) stay finite and nonzero while 2/sigma +
+# ln(kn) < 709.78 (the largest double is e^709.78): up to 1/sigma = 340 for rows of up to 8e12 logits. Only above
+# it is the softmax shifted by the row maximum, at two passes over the logits that tie their rounding to it.
+SHIFT_ABOVE = 340.0
 
 # A logit block of at least this many entries runs in slabs of its leading fit x view axes, one per thread
 # (``_threads``); a smaller one runs whole on the calling thread, as do all on benchmark's batch threads (_SPLIT).
 # Measured on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at
 # n = 600, 153,600 logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
 SPLIT_FROM = 200_000
+# True: large blocks split over the pool; False: blocks run whole; a 1-D buffer: slabs run in order in it.
 _SPLIT = contextvars.ContextVar("mvcl_split", default=True)
 _pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The pool of all ``threads`` but the caller's, made on first use, for a new count and in a forked child."""
+    global _pool
+    if _pool[0] != (os.getpid(), threads):
+        _pool = ((os.getpid(), threads), ThreadPoolExecutor(threads - 1))
+    return _pool[1]
 
 
 def _threads() -> int:
@@ -243,37 +252,45 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     return G
 
 
-def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0, fill=None, then=None, *arrays, rows=False):
+def _xent(S, sigma, k, grad, r0=0, fill=None, then=None, *arrays, here=False, rows=False):
     """Softmax cross-entropy along the last axis of S (B, V, ..., c, kn), a block of anchor rows r0.. of B fits
     and their V views, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every
     head. Returns (each fit's summed row losses (B,), E = rs * dloss/dS in place of S, 1/rs), or None for both
     without ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row,
     and a row whose one finite entry is its positive gives a loss and gradient of exactly 0.
 
-    fill(S, *arrays), if given, first forms the logits, and with ``grad`` then(E, 1/rs, *arrays) uses the
-    gradient. A block of ``SPLIT_FROM`` entries or more runs in slabs, one per thread: the merged fit x view
-    entries of S and the arrays cut into contiguous ranges, the last run here and the rest on the pool, each
-    in a copy of the caller's context (so under its numpy error state). Each slab returns its ``rows`` (the row
-    losses' terms, 1/rs), and each fit's are summed once every slab has finished.
+    S is the block, or the shape of one that fill(S, *arrays) forms; with ``grad`` then(E, 1/rs, *arrays) uses the
+    gradient. A shape of ``SPLIT_FROM`` entries or more runs as slabs of its merged fit x view entries and the arrays,
+    one per thread, returning no E: on the pool (``_SPLIT``) the last here, the rest on other threads in copies of the
+    caller's context (so under its numpy error state), with ``here`` once fill has run here, all in one buffer (one per
+    slab made glibc trim and re-fault them every block); on a side of a side-by-side pass all here in order, in its
+    buffer. Each returns its ``rows`` (the row losses' terms, 1/rs); each fit's are summed once all have finished.
     """
-    global _pool
-    n = min(_threads(), S.shape[0] * S.shape[1]) if S.size >= SPLIT_FROM and not rows and _SPLIT.get() else 1
-    if n > 1:
-        if _pool[0] != (os.getpid(), n):
-            _pool = ((os.getpid(), n), ThreadPoolExecutor(n - 1))
-        flat = [a.reshape(-1, *a.shape[2:]) for a in (S, *arrays)]
-        cuts = [len(flat[0]) * i // n for i in range(n + 1)]
-        slabs = [[a[i:j] for a in flat] for i, j in zip(cuts, cuts[1:])]
-        args = sigma, k, grad, r0, fill, then
-        rest = [_pool[1].submit(contextvars.copy_context().run, _xent, s[0], *args, *s[1:], rows=True) for s in slabs[:-1]]
+    shape = getattr(S, "shape", S)
+    n = min(_threads(), shape[0] * shape[1]) if isinstance(S, tuple) and math.prod(S) >= SPLIT_FROM else 1
+    if n > 1 and (pool := _SPLIT.get()) is not False:
+        flat, each = [a.reshape(-1, *a.shape[2:]) for a in arrays], math.prod(shape[2:])
+        cuts = [shape[0] * shape[1] * i // n for i in range(n + 1)]
+        m = cuts[-1] if pool is True else -(-cuts[-1] // n)  # the block's entries on the pool, else one slab's
+        buf = (np.empty(m * each) if pool is True or pool.size < m * each else pool)[:m * each].reshape(m, *shape[2:])
+        futures, parts = [], []
         try:
-            last = _xent(slabs[-1][0], *args, *slabs[-1][1:], rows=True)
+            for i, j in zip(cuts, cuts[1:]):
+                slab = (buf[i:j] if pool is True else buf[:j - i], *(a[i:j] for a in flat))
+                if pool is True and j < cuts[-1]:
+                    if here:
+                        fill(*slab)
+                    job = (_xent, slab[0], sigma, k, grad, r0, None if here else fill, then, *slab[1:])
+                    futures.append(_executor(n).submit(contextvars.copy_context().run, *job, rows=True))
+                else:
+                    parts.append(_xent(slab[0], sigma, k, grad, r0, fill, then, *slab[1:], rows=True))
         finally:
-            wait(rest)
-        parts = [*(f.result() for f in rest), last]
+            wait(futures)
+        parts = [*(f.result() for f in futures), *parts]
         terms = [np.concatenate(t) for t in zip(*(p[0] for p in parts))]  # in the block's layout
-        inv = np.concatenate([p[1] for p in parts]).reshape(S.shape[:-1]) if grad else None
+        E, inv = None, np.concatenate([p[1] for p in parts]).reshape(shape[:-1]) if grad else None
     else:
+        S = np.empty(S) if isinstance(S, tuple) else S
         if fill is not None:
             fill(S, *arrays)
         pidx = _positive_index(S.shape, k, r0)
@@ -304,10 +321,10 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0, fill=Non
                 then(E, inv, *arrays)
         if rows:
             return terms, inv
-    loss = np.add.reduce(terms[0].reshape(len(S), -1), axis=1)
+    loss = np.add.reduce(terms[0].reshape(shape[0], -1), axis=1)
     if len(terms) > 1:
-        loss -= np.add.reduce(terms[1].reshape(len(S), -1), axis=1)
-    return loss, S if grad else None, inv
+        loss -= np.add.reduce(terms[1].reshape(shape[0], -1), axis=1)
+    return loss, E if grad else None, inv
 
 
 def _col_norms(A: np.ndarray) -> np.ndarray:
@@ -361,8 +378,8 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     by side: sample i in every other view is a positive, all other samples
     there are negatives, and same-view pairs never enter. The B fits' V anchor views
     are one batch: each block holds ROWS // (BV) rows of every anchor view, B x V x c x
-    (V-1)n logits, filled by one 2-D ``cosine_logits`` call per fit and anchor view, and
-    1/(n sigma) is applied to the small factors, never to the block.
+    (V-1)n logits, filled on the calling thread by one 2-D ``cosine_logits`` call per fit and
+    anchor view, and 1/(n sigma) is applied to the small factors, never to the block.
     The candidates' gradients are scattered back onto their views, and each
     view's gradient is pulled back through its norm once.
     """
@@ -372,6 +389,10 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     scale = 1.0 / (n * sigma)
     total = 0.0
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
+
+    def fill(S, A, C, *_):  # a slab's logits, one 2-D GEMM per entry
+        for p in product(*map(range, S.shape[:-2])):
+            cosine_logits(A[p], C[p], sigma, out=S[p])
 
     def then(E, inv, A, C, dY, dC):  # a slab's rows of dY and its share of the candidates' gradient dC
         inv = inv[..., None, :] * scale
@@ -383,13 +404,8 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
             dC += (A * inv) @ E
 
     for r0 in range(0, n, c):
-        rows = slice(r0, r0 + c)
-        A = Yh[..., rows]
-        S = np.empty((B, V, A.shape[3], C.shape[3]))
-        for b, a in product(range(B), range(V)):
-            cosine_logits(A[b, a], C[b, a], sigma, out=S[b, a])
-        total += _xent(S, sigma, V - 1, grad, r0, None, then, *((A, C, dY[..., rows], dC) if grad else ()))[0]
-        del S  # so that the next block is formed after this one is freed
+        A, grads = Yh[..., r0:r0 + c], (dY[..., r0:r0 + c], dC) if grad else ()
+        total += _xent((B, V, A.shape[3], C.shape[3]), sigma, V - 1, grad, r0, fill, then, A, C, *grads, here=True)[0]
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -432,8 +448,9 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
 
 
-def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = False, want_dF: bool = False):
-    """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None).
+def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=False, beside=None):
+    """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None), followed
+    by the items of the tuple that beside() returns, if given: it runs here, beside large row blocks (``_SPLIT``).
 
     Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the
     columns of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
@@ -455,44 +472,57 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma: float, want_dY: bool = Fal
     nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=3), 0.0)), NORM_FLOOR)
     U /= nz[..., None, :]
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
-    rows = max(1, ROWS // (B * V * (V - 1)))
-    total, dF = 0.0, [None] * V
+    rows = min(n, max(1, ROWS // (B * V * (V - 1))))
     WE = np.empty(U.shape) if grad else None
 
     def fill(S, W, U, *_):  # a slab's logits
         np.matmul((W / sigma).swapaxes(-1, -2), U, out=S)
 
-    def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
-        inv = inv[..., None, :]
-        part = W * inv
-        if r0 == 0:
-            np.matmul(part, E, out=WE)
-        else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
-            for p in product(*map(range, E.shape[:-2])):
-                WE[p] += part[p] @ E[p]
-        if UE is not None:
-            np.matmul(U, E.swapaxes(-1, -2), out=UE)
-            UE *= c * inv
+    def blocks():  # the row blocks: (their summed losses, each view's ambient product for dF)
+        total, dF = 0.0, [None] * V
 
-    for r0 in range(0, n, rows):
-        cols = slice(r0, r0 + rows)
-        S = np.empty((B, V, V - 1, min(rows, n - r0), n))
-        UE = np.empty((B, V, V - 1, d, S.shape[3])) if want_dF else None
-        grads = (WE, UE) if want_dF else (WE,) if grad else ()
-        total += _xent(S, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
-        if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
-            for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
-                part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
-                dF[m] = part if r0 == 0 else dF[m] + part
-        del S  # so that the next block is formed after this one is freed
+        def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
+            inv = inv[..., None, :]
+            part = W * inv
+            if r0 == 0:
+                np.matmul(part, E, out=WE)
+            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
+                for p in product(*map(range, E.shape[:-2])):
+                    WE[p] += part[p] @ E[p]
+            if UE is not None:
+                np.matmul(U, E.swapaxes(-1, -2), out=UE)
+                UE *= c * inv
+        for r0 in range(0, n, rows):
+            cols, shape = slice(r0, r0 + rows), (B, V, V - 1, min(rows, n - r0), n)
+            UE = np.empty((B, V, V - 1, d, shape[3])) if want_dF else None
+            grads = (WE, UE) if want_dF else (WE,) if grad else ()
+            total += _xent(shape, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
+            if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
+                for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
+                    part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
+                    dF[m] = part if r0 == 0 else dF[m] + part
+        return total, dF
+
+    big = beside is not None and B * V * (V - 1) * rows * n >= SPLIT_FROM and _SPLIT.get() is True
+    if big and (threads := _threads()) > 1:  # the row blocks on a pool thread, beside() here
+        here, there = contextvars.copy_context(), contextvars.copy_context()
+        for ctx, buf in zip((here, there), np.empty((2, -(-B * V * (V - 1) // threads) * rows * n))):
+            ctx.run(_SPLIT.set, buf)  # each side runs its large blocks' slabs in order, in one slab's buffer
+        job = _executor(threads).submit(there.run, blocks)
+        try:
+            side, (total, dF) = here.run(beside), job.result()
+        finally:
+            wait([job])  # also when beside() raises
+    else:
+        side, (total, dF) = beside() if beside else (), blocks()
     if not grad:
-        return total / n, None, None
+        return (total / n, None, None) + side
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)
     dY = _to_views((WE - R @ U * r[..., None, :]) * (c / (nz * _pairs(ny)))[..., None, :]) if want_dY else None
     if want_dF:
         G = np.add.reduce((U * (c * r)[..., None, :]) @ U.swapaxes(3, 4), axis=2)
         dF = np.concatenate([g - b @ f for g, b, f in zip(dF, G.swapaxes(0, 1), Fmats)], axis=2)
-    return total / n, dY, dF if want_dF else None
+    return (total / n, dY, dF if want_dF else None) + side
 
 
 def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> float:
@@ -552,14 +582,14 @@ def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, gra
     return value, dY
 
 
-def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False):
-    """beta * recovery, the one head that sees F; returns as ``_recovery_head`` does,
-    and a zero beta skips it, giving 0 and zero gradients."""
+def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False, beside=None):
+    """beta * recovery, the one head that sees F; returns as ``_recovery_head`` does, beside()'s items too,
+    and a zero beta skips it, giving 0 and zero gradients (beside() then runs alone)."""
     if hp.beta == 0.0:
         dY = np.zeros_like(Yh) if want_dY else None
-        return 0.0, dY, np.zeros_like(np.concatenate(Fmats, axis=2)) if want_dF else None
-    value, dY, dF = _recovery_head(X, nx, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF)
-    return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None
+        return 0.0, dY, np.zeros_like(np.concatenate(Fmats, axis=2)) if want_dF else None, *(beside() if beside else ())
+    value, dY, dF, *side = _recovery_head(X, nx, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF, beside)
+    return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None, *side
 
 
 def total_loss(

@@ -168,8 +168,8 @@ def train(ds: MultiViewDataset | tuple[MultiViewDataset, ...], cfg: TrainConfig)
     def full_pass(p, f, maps, grad=True):
         Y = _stacked([p[:, b].swapaxes(1, 2) for b in blocks], X)
         Yh, ny = _unit_columns(Y)
-        value, dYp = _p_heads(Y, Yh, ny, hp, grad)
-        rvalue, _, dF = _f_head(X, nx, maps, fmats(f), Yh, ny, hp, want_dF=grad and fit_f)
+        rvalue, _, dF, value, dYp = _f_head(X, nx, maps, fmats(f), Yh, ny, hp, want_dF=grad and fit_f,
+                                            beside=lambda: _p_heads(Y, Yh, ny, hp, grad))
         return (value + rvalue).tolist(), Yh, ny, dYp, dF
 
     def check(loss, it):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,17 +12,22 @@ from mvcl import (
     DimError,
     HyperParams,
     MultiViewDataset,
+    NumericDivergence,
     ProjectionSet,
     RecoverySet,
+    TrainConfig,
     feature_level_loss,
+    init_params,
     recovery_level_loss,
     sample_level_loss,
     total_loss,
+    train,
 )
 from mvcl.grad import random_instance
 from mvcl.loss import (
     NORM_FLOOR,
     ROWS,
+    SHIFT_ABOVE,
     _col_norms,
     _feature_head,
     _recovery_head,
@@ -476,9 +482,9 @@ def test_heads_run_every_view_pair_in_one_batched_block(monkeypatch, V, rows_per
     xents, cosines = [], []
     xent, cos = mvcl.loss._xent, mvcl.loss.cosine_logits
 
-    def counted_xent(S, *args):
-        xents.append(S.shape)
-        return xent(S, *args)
+    def counted_xent(S, *args, **kwargs):
+        xents.append(getattr(S, "shape", S))  # a block, or the shape of one that _xent forms
+        return xent(S, *args, **kwargs)
 
     def counted_cos(A, B, sigma, out=None):
         cosines.append((A.ndim, B.ndim))
@@ -732,3 +738,30 @@ def test_permutation_invariance_property(inst, rnd):
     ds2 = MultiViewDataset(tuple(v[:, perm] for v in ds.views))
     for got, want in zip(_all_losses(P, F, ds2), _all_losses(P, F, ds)):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the unshifted softmax stays finite up to SHIFT_ABOVE
+# ---------------------------------------------------------------------------
+
+def test_the_shift_threshold_bounds_the_unshifted_quotient():
+    # rs / positives <= kn e^(2/sigma) for a row of kn logits in [-1/sigma, 1/sigma]: finite at the threshold
+    # for rows of up to 8e12 logits
+    assert math.isfinite(8e12 * math.exp(2.0 * SHIFT_ABOVE))
+
+
+@pytest.mark.parametrize("inverse_sigma", [300, 339, 341, 400, 590, 610])
+def test_heads_and_train_stay_finite_on_both_sides_of_the_shift_threshold(inverse_sigma):
+    # Gaussian data where the unshifted quotient rs / positives overflowed for 1/sigma from about 355 to 600
+    sigma = 1.0 / inverse_sigma
+    hp = HyperParams(d=2, sigma1=sigma, sigma2=sigma, sigma3=sigma)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ds = MultiViewDataset(tuple(rng.standard_normal((D, 50)) for D in (6, 5)))
+        P, F = init_params(ds.dims, 2, seed)
+        assert math.isfinite(sample_level_loss(P, ds, sigma)) and math.isfinite(recovery_level_loss(P, F, ds, sigma))
+        try:
+            report = train(ds, TrainConfig(hp=hp, max_iters=3, seed=seed))[2]
+        except NumericDivergence as e:
+            pytest.fail(f"seed {seed}: {e}")
+        assert all(math.isfinite(x) for x in report.losses)

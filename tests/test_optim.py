@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mvcl.loss
 
@@ -12,6 +13,7 @@ from mvcl import (
     DimError,
     FeatureStats,
     HyperParams,
+    MultiViewDataset,
     NumericDivergence,
     ProjectionSet,
     RecoverySet,
@@ -276,6 +278,24 @@ def test_batched_fits_equal_their_solo_runs(dims, weights, tol):
     assert max(r.wall_ms for r in reports) <= batch.wall_ms
     if tol > 1e-300:  # the fits stop at their own iterations, and the batch runs on without the stopped ones
         assert len(set(iterations)) > 2 and min(iterations) < cfg.max_iters
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), V=st.integers(2, 3), n=st.integers(2, 9), size=st.integers(1, 2**16),
+       tol=st.sampled_from([1e-300, 1e-2, 1e-1]))
+def test_a_random_batch_gives_each_fit_its_solo_bits(seed, V, n, size, tol):
+    # any batch size up to the limit, on Gaussian data: the fits that converge leave, the others run on
+    rng = np.random.default_rng(seed)
+    dims = [3 + (seed + m) % 4 for m in range(V)]
+    B = 1 + size % mvcl.loss._batch_limit(V, n, 2)
+    fits = tuple(MultiViewDataset(tuple(rng.standard_normal((D, n)) for D in dims)) for _ in range(B))
+    cfg = TrainConfig(hp=HyperParams(d=2), max_iters=12, tol=tol, seed=seed % 7)
+    Ps, Fs, batch, reports = train(fits, cfg)
+    for ds, P, F, rep in zip(fits, Ps, Fs, reports):
+        P1, F1, rep1 = train(ds, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(P.mats + F.mats, P1.mats + F1.mats))
+        assert (rep.losses, rep.iterations, rep.converged) == (rep1.losses, rep1.iterations, rep1.converged)
+    assert batch.iterations == sum(r.iterations for r in reports)
 
 
 def test_a_batch_names_its_diverging_fit():

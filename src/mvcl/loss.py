@@ -175,17 +175,29 @@ SHIFT_ABOVE = 340.0
 # Measured on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at
 # n = 600, 153,600 logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
 SPLIT_FROM = 200_000
-# True: large blocks split over the pool; False: blocks run whole; a 1-D buffer: slabs run in order in it.
+# True: large blocks split over the pool; False: blocks run whole; a list: on one side of a side-by-side pass
+# (``_recovery_head``), every block that _xent forms runs its slabs in order, in the one buffer the list keeps.
 _SPLIT = contextvars.ContextVar("mvcl_split", default=True)
 _pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
 
 
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The pool of all ``threads`` but the caller's, made on first use, for a new count and in a forked child."""
+def _executor() -> ThreadPoolExecutor:
+    """The pool of all threads but the caller's (``_threads``), made anew for a new count and in a forked child."""
     global _pool
-    if _pool[0] != (os.getpid(), threads):
-        _pool = ((os.getpid(), threads), ThreadPoolExecutor(threads - 1))
+    if _pool[0] != (key := (os.getpid(), _threads())):
+        _pool = (key, ThreadPoolExecutor(key[1] - 1))
     return _pool[1]
+
+
+def _slabs(shape) -> tuple[list[int], np.ndarray]:
+    """(cuts, buffer): the merged fit x view entries of a block of ``shape`` cut into slabs, one per thread, and a 1-D
+    buffer for the logits of the block (on the pool) or of its largest slab (on a side, whose list keeps it)."""
+    n, side = min(_threads(), shape[0] * shape[1]), _SPLIT.get()
+    cuts = [shape[0] * shape[1] * i // n for i in range(n + 1)]
+    size = (cuts[-1] if side is True else -(-cuts[-1] // n)) * math.prod(shape[2:])
+    if side is not True and (not side or side[0].size < size):  # made anew only when too small
+        side[:] = [np.empty(size)]
+    return cuts, np.empty(size) if side is True else side[0]
 
 
 def _threads() -> int:
@@ -260,28 +272,26 @@ def _xent(S, sigma, k, grad, r0=0, fill=None, then=None, *arrays, here=False, ro
     and a row whose one finite entry is its positive gives a loss and gradient of exactly 0.
 
     S is the block, or the shape of one that fill(S, *arrays) forms; with ``grad`` then(E, 1/rs, *arrays) uses the
-    gradient. A shape of ``SPLIT_FROM`` entries or more runs as slabs of its merged fit x view entries and the arrays,
-    one per thread, returning no E: on the pool (``_SPLIT``) the last here, the rest on other threads in copies of the
-    caller's context (so under its numpy error state), with ``here`` once fill has run here, all in one buffer (one per
-    slab made glibc trim and re-fault them every block); on a side of a side-by-side pass all here in order, in its
-    buffer. Each returns its ``rows`` (the row losses' terms, 1/rs); each fit's are summed once all have finished.
+    gradient. Such a shape runs as slabs (``_slabs``) of its merged fit x view entries and the arrays, returning no
+    E, when it holds ``SPLIT_FROM`` entries or more and there are threads to split over: the last slab here, the rest
+    on the pool in copies of the caller's context (so under its numpy error state), with ``here`` once fill has run
+    here. On a side of a side-by-side pass (``_SPLIT``) every such shape runs its slabs here, in order. Each slab
+    returns its ``rows`` (the row losses' terms, 1/rs); each fit's are summed once all have finished.
     """
-    shape = getattr(S, "shape", S)
-    n = min(_threads(), shape[0] * shape[1]) if isinstance(S, tuple) and math.prod(S) >= SPLIT_FROM else 1
-    if n > 1 and (pool := _SPLIT.get()) is not False:
-        flat, each = [a.reshape(-1, *a.shape[2:]) for a in arrays], math.prod(shape[2:])
-        cuts = [shape[0] * shape[1] * i // n for i in range(n + 1)]
-        m = cuts[-1] if pool is True else -(-cuts[-1] // n)  # the block's entries on the pool, else one slab's
-        buf = (np.empty(m * each) if pool is True or pool.size < m * each else pool)[:m * each].reshape(m, *shape[2:])
-        futures, parts = [], []
+    shape = S if S.__class__ is tuple else S.shape
+    side = _SPLIT.get() if S is shape else False
+    if side.__class__ is list or side and math.prod(shape) >= SPLIT_FROM and min(_threads(), shape[0] * shape[1]) > 1:
+        (cuts, buf), each = _slabs(shape), math.prod(shape[2:])
+        flat, futures, parts = [a.reshape(-1, *a.shape[2:]) for a in arrays], [], []
         try:
             for i, j in zip(cuts, cuts[1:]):
-                slab = (buf[i:j] if pool is True else buf[:j - i], *(a[i:j] for a in flat))
-                if pool is True and j < cuts[-1]:
+                at = i * each if side is True else 0  # the block's place in the pool's buffer, or the side's one slab
+                slab = (buf[at:at + (j - i) * each].reshape(j - i, *shape[2:]), *(a[i:j] for a in flat))
+                if side is True and j < cuts[-1]:
                     if here:
                         fill(*slab)
                     job = (_xent, slab[0], sigma, k, grad, r0, None if here else fill, then, *slab[1:])
-                    futures.append(_executor(n).submit(contextvars.copy_context().run, *job, rows=True))
+                    futures.append(_executor().submit(contextvars.copy_context().run, *job, rows=True))
                 else:
                     parts.append(_xent(slab[0], sigma, k, grad, r0, fill, then, *slab[1:], rows=True))
         finally:
@@ -290,7 +300,7 @@ def _xent(S, sigma, k, grad, r0=0, fill=None, then=None, *arrays, here=False, ro
         terms = [np.concatenate(t) for t in zip(*(p[0] for p in parts))]  # in the block's layout
         E, inv = None, np.concatenate([p[1] for p in parts]).reshape(shape[:-1]) if grad else None
     else:
-        S = np.empty(S) if isinstance(S, tuple) else S
+        S = np.empty(S) if S is shape else S
         if fill is not None:
             fill(S, *arrays)
         pidx = _positive_index(S.shape, k, r0)
@@ -448,6 +458,38 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
 
 
+def _recovery_blocks(X, nx, W, U, WE, sigma, c, rows, want_dF):
+    """The recovery head's row blocks: (their summed losses, each view's ambient product for dF)."""
+    B, V, _, d, n = U.shape
+    grad, total, dF = WE is not None, 0.0, [None] * V
+
+    def fill(S, W, U, *_):  # a slab's logits
+        np.matmul((W / sigma).swapaxes(-1, -2), U, out=S)
+
+    def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
+        inv = inv[..., None, :]
+        part = W * inv
+        if r0 == 0:
+            np.matmul(part, E, out=WE)
+        else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
+            for p in product(*map(range, E.shape[:-2])):
+                WE[p] += part[p] @ E[p]
+        if UE is not None:
+            np.matmul(U, E.swapaxes(-1, -2), out=UE)
+            UE *= c * inv
+
+    for r0 in range(0, n, rows):
+        cols, shape = slice(r0, r0 + rows), (B, V, V - 1, min(rows, n - r0), n)
+        UE = np.empty((B, V, V - 1, d, shape[3])) if want_dF else None
+        grads = (WE, UE) if want_dF else (WE,) if grad else ()
+        total += _xent(shape, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
+        if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
+            for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
+                part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
+                dF[m] = part if r0 == 0 else dF[m] + part
+    return total, dF
+
+
 def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=False, beside=None):
     """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None), followed
     by the items of the tuple that beside() returns, if given: it runs here, beside large row blocks (``_SPLIT``).
@@ -474,47 +516,20 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
     rows = min(n, max(1, ROWS // (B * V * (V - 1))))
     WE = np.empty(U.shape) if grad else None
-
-    def fill(S, W, U, *_):  # a slab's logits
-        np.matmul((W / sigma).swapaxes(-1, -2), U, out=S)
-
-    def blocks():  # the row blocks: (their summed losses, each view's ambient product for dF)
-        total, dF = 0.0, [None] * V
-
-        def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
-            inv = inv[..., None, :]
-            part = W * inv
-            if r0 == 0:
-                np.matmul(part, E, out=WE)
-            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
-                for p in product(*map(range, E.shape[:-2])):
-                    WE[p] += part[p] @ E[p]
-            if UE is not None:
-                np.matmul(U, E.swapaxes(-1, -2), out=UE)
-                UE *= c * inv
-        for r0 in range(0, n, rows):
-            cols, shape = slice(r0, r0 + rows), (B, V, V - 1, min(rows, n - r0), n)
-            UE = np.empty((B, V, V - 1, d, shape[3])) if want_dF else None
-            grads = (WE, UE) if want_dF else (WE,) if grad else ()
-            total += _xent(shape, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
-            if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
-                for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
-                    part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
-                    dF[m] = part if r0 == 0 else dF[m] + part
-        return total, dF
-
-    big = beside is not None and B * V * (V - 1) * rows * n >= SPLIT_FROM and _SPLIT.get() is True
-    if big and (threads := _threads()) > 1:  # the row blocks on a pool thread, beside() here
+    first, blocks = (B, V, V - 1, rows, n), (X, nx, W, U, WE, sigma, c, rows, want_dF)
+    # Side by side only where each head's blocks would split over 2 threads anyway: there it was measured.
+    if beside is not None and math.prod(first) >= SPLIT_FROM and _SPLIT.get() is True and min(_threads(), B * V) == 2:
         here, there = contextvars.copy_context(), contextvars.copy_context()
-        for ctx, buf in zip((here, there), np.empty((2, -(-B * V * (V - 1) // threads) * rows * n))):
-            ctx.run(_SPLIT.set, buf)  # each side runs its large blocks' slabs in order, in one slab's buffer
-        job = _executor(threads).submit(there.run, blocks)
+        here.run(_SPLIT.set, [])  # each side runs its blocks' slabs in order, in a buffer of its own
+        there.run(_SPLIT.set, [])
+        there.run(_slabs, first)  # the pool thread's, made here: its own malloc arena would not reuse freed memory
+        job = _executor().submit(there.run, _recovery_blocks, *blocks)
         try:
             side, (total, dF) = here.run(beside), job.result()
         finally:
             wait([job])  # also when beside() raises
     else:
-        side, (total, dF) = beside() if beside else (), blocks()
+        side, (total, dF) = beside() if beside else (), _recovery_blocks(*blocks)
     if not grad:
         return (total / n, None, None) + side
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)
@@ -576,10 +591,15 @@ def _p_heads(Y: np.ndarray, Yh: np.ndarray, ny: np.ndarray, hp: HyperParams, gra
     value, dY = _sample_head(Yh, ny, hp.sigma1, grad)
     if hp.alpha != 0.0:
         f, g = _feature_head(Y, hp.sigma3, hp.fea_include_self_view, grad)
-        value += hp.alpha * f
+        value += _weighted(hp.alpha, f)
         if grad:
-            dY += hp.alpha * g
+            dY += _weighted(hp.alpha, g)
     return value, dY
+
+
+def _weighted(w: float, a):
+    """w * a, or a itself at w = 1, where the product is a bit for bit (one pass fewer), or for an a of None."""
+    return a if w == 1.0 or a is None else w * a
 
 
 def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, want_dF: bool = False, beside=None):
@@ -589,7 +609,7 @@ def _f_head(X, nx, maps, Fmats, Yh, ny, hp: HyperParams, want_dY: bool = False, 
         dY = np.zeros_like(Yh) if want_dY else None
         return 0.0, dY, np.zeros_like(np.concatenate(Fmats, axis=2)) if want_dF else None, *(beside() if beside else ())
     value, dY, dF, *side = _recovery_head(X, nx, maps, Fmats, Yh, ny, hp.sigma2, want_dY, want_dF, beside)
-    return hp.beta * value, hp.beta * dY if want_dY else None, hp.beta * dF if want_dF else None, *side
+    return _weighted(hp.beta, value), _weighted(hp.beta, dY), _weighted(hp.beta, dF), *side
 
 
 def total_loss(

@@ -2,11 +2,13 @@
 
 Side by side, a pass must give the bits of the sequential one whatever the thread count, temperature and degenerate
 columns; a P-only head that raises still waits for the row blocks; an overflow on the pool thread ends in
-NumericDivergence; the sample head stays on the calling thread; and the two heads' slabs together hold no more than
-one slab above a sequential pass.
+NumericDivergence; the sample head stays on the calling thread; the two heads' slabs together hold no more than
+one slab above a sequential pass, each side's buffer made once, on the calling thread; and where each head would
+split over more than 2 threads, the heads run one after the other.
 """
 
 import hashlib
+import math
 import threading
 import time
 import warnings
@@ -99,17 +101,19 @@ def test_a_full_pass_at_fit_size_runs_the_recovery_blocks_on_a_pool_thread(monke
     assert seen[4] == seen[5] == {main}  # alone, each head splits its own blocks from here
 
 
-@pytest.mark.parametrize("why", ["one thread", "a zero beta", "benchmark's batch threads"])
+@pytest.mark.parametrize("why", ["one thread", "a zero beta", "benchmark's batch threads", "3 threads for 3 views"])
 def test_a_full_pass_stays_on_the_calling_thread_when_it_cannot_go_side_by_side(monkeypatch, why):
-    monkeypatch.setenv("MVCL_THREADS", "1" if why == "one thread" else "2")
+    threads, V = {"one thread": (1, 2), "3 threads for 3 views": (3, 3)}.get(why, (2, 2))
+    monkeypatch.setenv("MVCL_THREADS", str(threads))
     hp = HyperParams(d=4, beta=0.0 if why == "a zero beta" else 1.0)
     # benchmark's batch executor sets _SPLIT to False on each of its threads
     token = mvcl.loss._SPLIT.set(why != "benchmark's batch threads")
     try:
         seen = _xent_threads(monkeypatch)
-        _side_by_side(_point(3, 1, 2, 1500, d=4), hp, True)
+        _side_by_side(_point(3, 1, V, 1500, d=4), hp, True)
     finally:
         mvcl.loss._SPLIT.reset(token)
+    # with 3 threads for 3 views each head splits its own blocks over all 3 from here, as it does alone
     assert set().union(*seen.values()) == {threading.get_ident()}
 
 
@@ -163,3 +167,51 @@ def test_a_side_by_side_pass_peaks_at_most_one_slab_above_the_sequential_one(mon
     # the pool thread's slab: half of the recovery head's 2 pairs x ROWS // 2 rows x n logits
     slab = mvcl.loss.ROWS // 2 * 1500 * 8
     assert side_by_side <= sequential + slab
+
+
+class _RecordedNumpy:
+    """numpy, but each np.empty is recorded as (thread, entries)."""
+
+    def __init__(self, made):
+        self.made = made
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.made.append((threading.get_ident(), math.prod(np.atleast_1d(shape))))
+        return np.empty(shape, *args, **kwargs)
+
+
+def test_at_three_views_each_side_gets_one_buffer_of_its_own_slab_made_on_the_calling_thread(monkeypatch):
+    # The pool thread writes only arrays the calling thread made: its own malloc arena would not reuse the memory
+    # the calling thread frees. At V = 3 the sample head's slab (2 of 3 anchor views) is larger than the recovery
+    # head's (2 of 3 views' pairs), so each side's buffer must be sized by its own cut.
+    monkeypatch.setenv("MVCL_THREADS", "2")
+    made, main = [], threading.get_ident()
+    monkeypatch.setattr("mvcl.loss.np", _RecordedNumpy(made))
+    point, hp = _point(8, 1, 3, 1500, d=4), HyperParams(d=4)
+    _side_by_side(point, hp, True)
+    block = mvcl.loss.ROWS // 6 * 1500  # one pair's rows of one recovery block: less than any slab
+    assert made and all(size < block for thread, size in made if thread != main)
+    assert len([size for thread, size in made if thread == main and size >= block]) == 2  # one per side, once
+
+
+def test_the_full_pass_and_the_dy_pass_share_one_pool(monkeypatch):
+    # With 3 threads and B V = 2, the full pass goes side by side and the dY pass at (P, F') splits over 2 threads:
+    # both take the one pool of all threads but the caller's.
+    made, executor = [], mvcl.loss.ThreadPoolExecutor
+
+    class Counted(executor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("mvcl.loss.ThreadPoolExecutor", Counted)
+    monkeypatch.setattr("mvcl.loss._pool", (None, None))
+    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
+    monkeypatch.setenv("MVCL_THREADS", "3")
+    rng = np.random.default_rng(4)
+    ds = MultiViewDataset(tuple(rng.standard_normal((D, 12)) for D in (6, 5)))
+    train(ds, TrainConfig(hp=HyperParams(d=2), max_iters=4))
+    assert made == [(2,)]

@@ -24,10 +24,11 @@ never held as a unit-column copy; each head returns B losses. Each head runs all
 its view pairs as one batched block: the sample head its V anchor views, the
 recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
-Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs and over the
-slabs of a large block (``_xent``): one ROWS x kn logit block is alive, or one slab of
-each of two heads side by side (``_recovery_head``). A batch holds at most ``_batch_limit``
-fits, so that each fit runs in one row block, as it does alone, and gets its result alone.
+Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs: one ROWS x kn
+logit block is alive. A large block (``SPLIT_FROM``) runs one anchor view at a time, and only
+the recovery head's views go to other threads, beside the sample head (``_recovery_head``).
+A batch holds at most ``_batch_limit`` fits, so that each fit runs in one row block, as it
+does alone, and gets its result alone.
 Every expectation is an arithmetic mean over the anchor index and a plain sum over
 view pairs, so loss magnitudes do not grow with n. Accumulation is float64 with a
 fixed left-to-right ordering for reproducibility.
@@ -170,14 +171,13 @@ def _batch_limit(V: int, n: int, d: int) -> int:
 # it is the softmax shifted by the row maximum, at two passes over the logits that tie their rounding to it.
 SHIFT_ABOVE = 340.0
 
-# A logit block of at least this many entries runs in slabs of its leading fit x view axes, one per thread
-# (``_threads``); a smaller one runs whole on the calling thread, as do all on benchmark's batch threads (_SPLIT).
-# Measured on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at
-# n = 600, 153,600 logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
+# A head whose all-view logit block holds at least this many entries runs its row blocks one anchor view at a time
+# (``_by_anchor_view``), and the recovery head's views go to the pool of all threads but the caller's (``_threads``);
+# a smaller block runs whole on the calling thread, as do all on benchmark's batch threads (_SPLIT). Measured on 2
+# cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at n = 600, 153,600
+# logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
 SPLIT_FROM = 200_000
-# True: large blocks split over the pool; False: blocks run whole; a list: on one side of a side-by-side pass
-# (``_recovery_head``), every block that _xent forms runs its slabs in order, in the one buffer the list keeps.
-_SPLIT = contextvars.ContextVar("mvcl_split", default=True)
+_SPLIT = contextvars.ContextVar("mvcl_split", default=True)  # False: no view goes to the pool
 _pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
 
 
@@ -189,15 +189,10 @@ def _executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
-def _slabs(shape) -> tuple[list[int], np.ndarray]:
-    """(cuts, buffer): the merged fit x view entries of a block of ``shape`` cut into slabs, one per thread, and a 1-D
-    buffer for the logits of the block (on the pool) or of its largest slab (on a side, whose list keeps it)."""
-    n, side = min(_threads(), shape[0] * shape[1]), _SPLIT.get()
-    cuts = [shape[0] * shape[1] * i // n for i in range(n + 1)]
-    size = (cuts[-1] if side is True else -(-cuts[-1] // n)) * math.prod(shape[2:])
-    if side is not True and (not side or side[0].size < size):  # made anew only when too small
-        side[:] = [np.empty(size)]
-    return cuts, np.empty(size) if side is True else side[0]
+def _by_anchor_view(V: int, *arrays) -> list[list]:
+    """One group per anchor view a: arrays (B, V, ...) sliced to [:, a:a+1], lists of V to [a:a+1], None kept."""
+    return [[x if x is None else x[a:a + 1] if x.__class__ is list else x[:, a:a + 1] for x in arrays]
+            for a in range(V)]
 
 
 def _threads() -> int:
@@ -264,77 +259,55 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
     return G
 
 
-def _xent(S, sigma, k, grad, r0=0, fill=None, then=None, *arrays, here=False, rows=False):
-    """Softmax cross-entropy along the last axis of S (B, V, ..., c, kn), a block of anchor rows r0.. of B fits
-    and their V views, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every
-    head. Returns (each fit's summed row losses (B,), E = rs * dloss/dS in place of S, 1/rs), or None for both
-    without ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row,
-    and a row whose one finite entry is its positive gives a loss and gradient of exactly 0.
-
-    S is the block, or the shape of one that fill(S, *arrays) forms; with ``grad`` then(E, 1/rs, *arrays) uses the
-    gradient. Such a shape runs as slabs (``_slabs``) of its merged fit x view entries and the arrays, returning no
-    E, when it holds ``SPLIT_FROM`` entries or more and there are threads to split over: the last slab here, the rest
-    on the pool in copies of the caller's context (so under its numpy error state), with ``here`` once fill has run
-    here. On a side of a side-by-side pass (``_SPLIT``) every such shape runs its slabs here, in order. Each slab
-    returns its ``rows`` (the row losses' terms, 1/rs); each fit's are summed once all have finished.
-    """
-    shape = S if S.__class__ is tuple else S.shape
-    side = _SPLIT.get() if S is shape else False
-    if side.__class__ is list or side and math.prod(shape) >= SPLIT_FROM and min(_threads(), shape[0] * shape[1]) > 1:
-        (cuts, buf), each = _slabs(shape), math.prod(shape[2:])
-        flat, futures, parts = [a.reshape(-1, *a.shape[2:]) for a in arrays], [], []
-        try:
-            for i, j in zip(cuts, cuts[1:]):
-                at = i * each if side is True else 0  # the block's place in the pool's buffer, or the side's one slab
-                slab = (buf[at:at + (j - i) * each].reshape(j - i, *shape[2:]), *(a[i:j] for a in flat))
-                if side is True and j < cuts[-1]:
-                    if here:
-                        fill(*slab)
-                    job = (_xent, slab[0], sigma, k, grad, r0, None if here else fill, then, *slab[1:])
-                    futures.append(_executor().submit(contextvars.copy_context().run, *job, rows=True))
-                else:
-                    parts.append(_xent(slab[0], sigma, k, grad, r0, fill, then, *slab[1:], rows=True))
-        finally:
-            wait(futures)
-        parts = [*(f.result() for f in futures), *parts]
-        terms = [np.concatenate(t) for t in zip(*(p[0] for p in parts))]  # in the block's layout
-        E, inv = None, np.concatenate([p[1] for p in parts]).reshape(shape[:-1]) if grad else None
+def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
+    """Softmax cross-entropy along the last axis of S (B, V, ..., c, kn), a block of anchor rows r0.. of B fits and
+    their views, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every head.
+    Returns (the row losses' terms (``_summed``), E = rs * dloss/dS in place of S, 1/rs), or None for both without
+    ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row, and a row
+    whose one finite entry is its positive gives a loss and gradient of exactly 0."""
+    pidx = _positive_index(S.shape, k, r0)
+    if 1.0 / sigma > SHIFT_ABOVE:
+        pos = S.take(pidx)
+        top = S.max(axis=-1, keepdims=True)
+        S -= top
+        pos -= top
+        E = np.exp(S, out=S)
+        rs = np.add.reduce(E, axis=-1)
+        # exp of a positive far below its row maximum underflows: stay in logs.
+        terms = np.log(rs), np.logaddexp.reduce(pos, axis=-1)
+        pos, scale = np.exp(pos - terms[1][..., None]), rs
     else:
-        S = np.empty(S) if S is shape else S
-        if fill is not None:
-            fill(S, *arrays)
-        pidx = _positive_index(S.shape, k, r0)
-        if 1.0 / sigma > SHIFT_ABOVE:
-            pos = S.take(pidx)
-            top = S.max(axis=-1, keepdims=True)
-            S -= top
-            pos -= top
-            E = np.exp(S, out=S)
-            rs = np.add.reduce(E, axis=-1)
-            # exp of a positive far below its row maximum underflows: stay in logs.
-            terms = np.log(rs), np.logaddexp.reduce(pos, axis=-1)
-            pos, scale = np.exp(pos - terms[1][..., None]), rs
-        else:
-            E = np.exp(S, out=S)
-            rs = np.add.reduce(E, axis=-1)
-            pos = E.take(pidx)
-            # From E itself, so that a row whose only entry is its positive gives exactly 0.
-            scale = rs / np.add.reduce(pos, axis=-1)
-            terms = (np.log(scale),)
-        inv = None
-        if grad:
-            # rs * (softmax over the row - softmax over the row's positives)
-            E.ravel()[pidx] -= pos * scale[..., None]
-            inv = 1.0 / rs
-            del pos, scale, rs  # before the caller's arithmetic, which may peak
-            if then is not None:
-                then(E, inv, *arrays)
-        if rows:
-            return terms, inv
-    loss = np.add.reduce(terms[0].reshape(shape[0], -1), axis=1)
-    if len(terms) > 1:
-        loss -= np.add.reduce(terms[1].reshape(shape[0], -1), axis=1)
-    return loss, E if grad else None, inv
+        E = np.exp(S, out=S)
+        rs = np.add.reduce(E, axis=-1)
+        pos = E.take(pidx)
+        # From E itself, so that a row whose only entry is its positive gives exactly 0.
+        scale = rs / np.add.reduce(pos, axis=-1)
+        terms = (np.log(scale),)
+    if not grad:
+        return terms, None, None
+    # rs * (softmax over the row - softmax over the row's positives)
+    E.ravel()[pidx] -= pos * scale[..., None]
+    return terms, E, 1.0 / rs
+
+
+def _leading_rows(buf: np.ndarray, m: int) -> np.ndarray:
+    """A contiguous block of m anchor rows (axis -2) in the logit buffer ``buf``: buf itself for all of its rows."""
+    *lead, rows, kn = buf.shape
+    return buf if m == rows else buf.reshape(-1)[:math.prod(lead) * m * kn].reshape(*lead, m, kn)
+
+
+def _summed(groups: list[list[tuple]], B: int) -> np.ndarray:
+    """Each fit's loss (B,) from the row losses' terms of every group's blocks (``_xent``): a row's first term less
+    its second, if any. A block's groups are joined along the view axis first, so each fit's sum runs in the order
+    of the whole block's."""
+    total = 0.0
+    for parts in zip(*groups):
+        terms = parts[0] if len(parts) == 1 else [np.concatenate(t, axis=1) for t in zip(*parts)]
+        loss = np.add.reduce(terms[0].reshape(B, -1), axis=1)
+        if len(terms) > 1:
+            loss -= np.add.reduce(terms[1].reshape(B, -1), axis=1)
+        total += loss
+    return total
 
 
 def _col_norms(A: np.ndarray) -> np.ndarray:
@@ -388,34 +361,39 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     by side: sample i in every other view is a positive, all other samples
     there are negatives, and same-view pairs never enter. The B fits' V anchor views
     are one batch: each block holds ROWS // (BV) rows of every anchor view, B x V x c x
-    (V-1)n logits, filled on the calling thread by one 2-D ``cosine_logits`` call per fit and
-    anchor view, and 1/(n sigma) is applied to the small factors, never to the block.
-    The candidates' gradients are scattered back onto their views, and each
-    view's gradient is pulled back through its norm once.
+    (V-1)n logits, or from ``SPLIT_FROM`` logits one anchor view's, filled on the calling thread
+    by one 2-D ``cosine_logits`` call per fit and anchor view; 1/(n sigma) is applied to the
+    small factors, never to the block. The candidates' gradients are scattered back onto their
+    views, and each view's gradient is pulled back through its norm once.
     """
     B, V, d, n = Yh.shape
     C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
     c = max(1, ROWS // (B * V))
     scale = 1.0 / (n * sigma)
-    total = 0.0
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
-
-    def fill(S, A, C, *_):  # a slab's logits, one 2-D GEMM per entry
-        for p in product(*map(range, S.shape[:-2])):
-            cosine_logits(A[p], C[p], sigma, out=S[p])
-
-    def then(E, inv, A, C, dY, dC):  # a slab's rows of dY and its share of the candidates' gradient dC
-        inv = inv[..., None, :] * scale
-        np.matmul(C, E.swapaxes(-1, -2), out=dY)
-        dY *= inv
-        if r0 == 0:
-            np.matmul(A * inv, E, out=dC)
-        else:
-            dC += (A * inv) @ E
-
-    for r0 in range(0, n, c):
-        A, grads = Yh[..., r0:r0 + c], (dY[..., r0:r0 + c], dC) if grad else ()
-        total += _xent((B, V, A.shape[3], C.shape[3]), sigma, V - 1, grad, r0, fill, then, A, C, *grads, here=True)[0]
+    groups, terms = [(Yh, C, dY, dC)], []
+    if B * V * min(c, n) * C.shape[3] >= SPLIT_FROM:
+        groups = _by_anchor_view(V, Yh, C, dY, dC)
+    buf = np.empty((B, V // len(groups), min(c, n), C.shape[3]))  # one group's block, for each group in turn
+    for A, Ca, dYa, dCa in groups:
+        terms.append([])
+        for r0 in range(0, n, c):
+            a = A[..., r0:r0 + c]
+            S = _leading_rows(buf, a.shape[3])
+            for p in product(range(B), range(A.shape[1])):
+                cosine_logits(a[p], Ca[p], sigma, out=S[p])
+            part, E, inv = _xent(S, sigma, V - 1, grad, r0)
+            terms[-1].append(part)
+            if grad:  # this block's rows of dY and its share of the candidates' gradient dC
+                inv = inv[..., None, :] * scale
+                rows = dYa[..., r0:r0 + c]
+                np.matmul(Ca, E.swapaxes(2, 3), out=rows)
+                rows *= inv
+                if r0 == 0:
+                    np.matmul(a * inv, E, out=dCa)
+                else:
+                    dCa += (a * inv) @ E
+    total = _summed(terms, B)
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -439,60 +417,62 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     Qh, nq = _unit_columns(Q)
     Qs = Qh / sigma
     c = max(1, ROWS // (B * V))
-    total = 0.0
-    dQ = np.zeros(Q.shape) if grad else None
+    blocks, dQ = [], np.zeros(Q.shape) if grad else None
     for r0 in range(0, V * d, c):
         rows = slice(r0, r0 + c)
         S = np.ascontiguousarray((Qh[..., rows].swapaxes(1, 2) @ Qs).reshape(B, -1, V, d).swapaxes(1, 2))
         if not include_self_view:
             (own, k), i = divmod(np.arange(r0, r0 + S.shape[2]), d), np.arange(S.shape[2])
             S[:, own, i] = np.where(np.arange(d) == k[:, None], S[:, own, i], -np.inf)
-        loss, E, inv = _xent(S, sigma, 1, grad, r0)
-        total += loss
+        terms, E, inv = _xent(S, sigma, 1, grad, r0)
+        blocks.append(terms)
         if grad:
             E *= inv[..., None]
             E = E.swapaxes(1, 2).reshape(B, -1, V * d)  # dG, back in the Gram block's layout
             dQ[..., rows] += Qh @ E.swapaxes(1, 2)
             dQ += Qh[..., rows] @ E
         del S, E  # so that the next block is formed after this one is freed
-    return total / d, _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
+    dY = _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
+    return _summed([blocks], B) / d, dY
 
 
-def _recovery_blocks(X, nx, W, U, WE, sigma, c, rows, want_dF):
-    """The recovery head's row blocks: (their summed losses, each view's ambient product for dF)."""
-    B, V, _, d, n = U.shape
-    grad, total, dF = WE is not None, 0.0, [None] * V
-
-    def fill(S, W, U, *_):  # a slab's logits
-        np.matmul((W / sigma).swapaxes(-1, -2), U, out=S)
-
-    def then(E, inv, W, U, WE, UE=None):  # a slab's shares of W E and, for dF, UE = c (U E^T) / rs
-        inv = inv[..., None, :]
-        part = W * inv
-        if r0 == 0:
-            np.matmul(part, E, out=WE)
-        else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
-            for p in product(*map(range, E.shape[:-2])):
-                WE[p] += part[p] @ E[p]
-        if UE is not None:
-            np.matmul(U, E.swapaxes(-1, -2), out=UE)
-            UE *= c * inv
-
-    for r0 in range(0, n, rows):
-        cols, shape = slice(r0, r0 + rows), (B, V, V - 1, min(rows, n - r0), n)
-        UE = np.empty((B, V, V - 1, d, shape[3])) if want_dF else None
-        grads = (WE, UE) if want_dF else (WE,) if grad else ()
-        total += _xent(shape, sigma, 1, grad, r0, fill, then, W[:, :, None, :, cols], U, *grads)[0]
-        if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
-            for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
-                part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
-                dF[m] = part if r0 == 0 else dF[m] + part
-    return total, dF
+def _recovery_blocks(groups, sigma, c, rows, want_dF, buf):
+    """The recovery head's blocks of ``rows`` rows of each group's anchors W (B, V', d, n) against its pairs' U
+    (B, V', V-1, d, n), a group's in order, their logits in ``buf``, shaped as a first block: (each group's blocks' row
+    losses' terms, each anchor view's ambient product for dF, through its data X and norms nx). With W E given, it
+    is written there, and with ``want_dF`` the products of c U E^T / rs are formed."""
+    out, products = [], []
+    for X, nx, W, U, WE in groups:
+        B, V, k, d, n = U.shape
+        blocks, dF = [], [None] * V
+        for r0 in range(0, n, rows):
+            cols, Wr = slice(r0, r0 + rows), W[:, :, None, :, r0:r0 + rows]
+            S = np.matmul((Wr / sigma).swapaxes(3, 4), U, out=_leading_rows(buf, Wr.shape[4]))
+            terms, E, inv = _xent(S, sigma, 1, WE is not None, r0)
+            blocks.append(terms)
+            if WE is None:
+                continue
+            inv = inv[..., None, :]
+            part = Wr * inv
+            if r0 == 0:
+                np.matmul(part, E, out=WE)
+            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
+                for p in product(range(B), range(V), range(k)):
+                    WE[p] += part[p] @ E[p]
+            if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
+                UE = U @ E.swapaxes(3, 4)
+                UE *= c * inv
+                for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
+                    part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
+                    dF[m] = part if r0 == 0 else dF[m] + part
+        out.append(blocks)
+        products += dF
+    return out, products
 
 
 def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=False, beside=None):
     """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None), followed
-    by the items of the tuple that beside() returns, if given: it runs here, beside large row blocks (``_SPLIT``).
+    by the items of the tuple that beside() returns, if given.
 
     Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the
     columns of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
@@ -507,6 +487,10 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     it U and W E are BV(V-1) d n floats each, so memory also grows with V^2 d. At
     d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
     as the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
+
+    From ``SPLIT_FROM`` logits the blocks run one anchor view at a time, and with threads to spare (``_SPLIT``)
+    the views go to the pool, cut into runs of consecutive views, one per thread: every run while beside() runs
+    here, else all but the last, which runs here. Each run has one buffer, made here.
     """
     W, R = maps[0], maps[1][:, :, None]  # R_m for every pair (m, v)
     B, V, d, n = Yh.shape
@@ -516,20 +500,27 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
     rows = min(n, max(1, ROWS // (B * V * (V - 1))))
     WE = np.empty(U.shape) if grad else None
-    first, blocks = (B, V, V - 1, rows, n), (X, nx, W, U, WE, sigma, c, rows, want_dF)
-    # Side by side only where each head's blocks would split over 2 threads anyway: there it was measured.
-    if beside is not None and math.prod(first) >= SPLIT_FROM and _SPLIT.get() is True and min(_threads(), B * V) == 2:
-        here, there = contextvars.copy_context(), contextvars.copy_context()
-        here.run(_SPLIT.set, [])  # each side runs its blocks' slabs in order, in a buffer of its own
-        there.run(_SPLIT.set, [])
-        there.run(_slabs, first)  # the pool thread's, made here: its own malloc arena would not reuse freed memory
-        job = _executor().submit(there.run, _recovery_blocks, *blocks)
-        try:
-            side, (total, dF) = here.run(beside), job.result()
-        finally:
-            wait([job])  # also when beside() raises
-    else:
-        side, (total, dF) = beside() if beside else (), _recovery_blocks(*blocks)
+    groups, pooled, futures = [(X, nx, W, U, WE)], 0, []
+    if B * V * (V - 1) * rows * n >= SPLIT_FROM:
+        groups = _by_anchor_view(V, X, nx, W, U, WE)
+    runs = [groups]
+    if len(groups) > 1 and _SPLIT.get() and (threads := _threads()) > 1:
+        k = min(V, threads - (beside is not None))
+        runs, pooled = [groups[V * i // k:V * (i + 1) // k] for i in range(k)], k - (beside is None)
+    shape = (B, V // len(groups), V - 1, rows, n)  # a group's first block: each run's logit buffer
+    try:
+        for run in runs[:pooled]:  # in a copy of this context, so under its numpy error state
+            job = (_recovery_blocks, run, sigma, c, rows, want_dF, np.empty(shape))
+            futures.append(_executor().submit(contextvars.copy_context().run, *job))
+        side, here = beside() if beside else (), runs[pooled:]
+        blocks, dF = _recovery_blocks(*here, sigma, c, rows, want_dF, np.empty(shape)) if here else ([], [])
+    finally:
+        if futures:
+            wait(futures)  # also when beside() or the run here raises
+    for f in reversed(futures):  # the pool's runs come first
+        more, products = f.result()
+        blocks, dF = more + blocks, products + dF
+    total = _summed(blocks, B)
     if not grad:
         return (total / n, None, None) + side
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)

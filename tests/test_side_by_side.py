@@ -1,10 +1,10 @@
-"""A full pass runs the recovery head's row blocks on a pool thread beside the P-only heads (``loss._recovery_head``).
+"""A full pass runs the recovery head's anchor views on pool threads beside the P-only heads (``loss._recovery_head``).
 
 Side by side, a pass must give the bits of the sequential one whatever the thread count, temperature and degenerate
 columns; a P-only head that raises still waits for the row blocks; an overflow on the pool thread ends in
-NumericDivergence; the sample head stays on the calling thread; the two heads' slabs together hold no more than
-one slab above a sequential pass, each side's buffer made once, on the calling thread; and where each head would
-split over more than 2 threads, the heads run one after the other.
+NumericDivergence; the sample head stays on the calling thread; the two heads' logit buffers together hold no more
+than one anchor view's above a sequential pass, each made on the calling thread; and where the views cannot go to
+the pool, the heads run one after the other.
 """
 
 import hashlib
@@ -78,12 +78,11 @@ def test_a_side_by_side_pass_gives_the_bits_of_the_sequential_one(seed, B, V, n,
 
 
 def _xent_threads(monkeypatch):
-    """Record the thread of each head-level ``_xent`` call, keyed by its block's rank: 4 sample, 5 recovery."""
+    """Record the thread of each ``_xent`` call, keyed by its block's rank: 4 sample (and feature), 5 recovery."""
     seen, xent = {}, mvcl.loss._xent
 
     def recorded(S, *args, **kwargs):
-        if isinstance(S, tuple):
-            seen.setdefault(len(S), set()).add(threading.get_ident())
+        seen.setdefault(S.ndim, set()).add(threading.get_ident())
         return xent(S, *args, **kwargs)
 
     monkeypatch.setattr("mvcl.loss._xent", recorded)
@@ -95,25 +94,35 @@ def test_a_full_pass_at_fit_size_runs_the_recovery_blocks_on_a_pool_thread(monke
     seen = _xent_threads(monkeypatch)
     point, hp = _point(3, 1, 2, 1500, d=4), HyperParams(d=4)
     side_by_side, main = _bits(*_side_by_side(point, hp, True)), threading.get_ident()
-    assert seen[4] == {main} and main not in seen[5]  # the sample head here, the recovery head's blocks there
+    assert seen[4] == {main} and main not in seen[5]  # the sample head here, the recovery head there
     seen.clear()
     assert _bits(*_sequential(point, hp, True)) == side_by_side
-    assert seen[4] == seen[5] == {main}  # alone, each head splits its own blocks from here
+    # alone, the sample head runs both its anchor views here, and the recovery head one here and one on the pool
+    assert seen[4] == {main} and main in seen[5] and len(seen[5]) == 2
 
 
-@pytest.mark.parametrize("why", ["one thread", "a zero beta", "benchmark's batch threads", "3 threads for 3 views"])
+def test_at_three_threads_for_three_views_the_recovery_views_run_on_the_pool_beside_the_sample_head(monkeypatch):
+    monkeypatch.setenv("MVCL_THREADS", "3")
+    seen = _xent_threads(monkeypatch)
+    point, hp = _point(3, 1, 3, 1500, d=4), HyperParams(d=4)
+    side_by_side, main = _bits(*_side_by_side(point, hp, True)), threading.get_ident()
+    assert seen[4] == {main} and main not in seen[5]
+    seen.clear()
+    assert _bits(*_sequential(point, hp, True)) == side_by_side
+    assert seen[4] == {main} and main in seen[5]  # alone, one recovery view runs here
+
+
+@pytest.mark.parametrize("why", ["one thread", "a zero beta", "benchmark's batch threads"])
 def test_a_full_pass_stays_on_the_calling_thread_when_it_cannot_go_side_by_side(monkeypatch, why):
-    threads, V = {"one thread": (1, 2), "3 threads for 3 views": (3, 3)}.get(why, (2, 2))
-    monkeypatch.setenv("MVCL_THREADS", str(threads))
+    monkeypatch.setenv("MVCL_THREADS", "1" if why == "one thread" else "2")
     hp = HyperParams(d=4, beta=0.0 if why == "a zero beta" else 1.0)
     # benchmark's batch executor sets _SPLIT to False on each of its threads
     token = mvcl.loss._SPLIT.set(why != "benchmark's batch threads")
     try:
         seen = _xent_threads(monkeypatch)
-        _side_by_side(_point(3, 1, V, 1500, d=4), hp, True)
+        _side_by_side(_point(3, 1, 2, 1500, d=4), hp, True)
     finally:
         mvcl.loss._SPLIT.reset(token)
-    # with 3 threads for 3 views each head splits its own blocks over all 3 from here, as it does alone
     assert set().union(*seen.values()) == {threading.get_ident()}
 
 
@@ -164,9 +173,9 @@ def test_a_side_by_side_pass_peaks_at_most_one_slab_above_the_sequential_one(mon
     _sequential(point, hp, True)  # warm the positives' index cache, as both passes below then find it
     sequential = peak_alloc(lambda: _sequential(point, hp, True))
     side_by_side = peak_alloc(lambda: _side_by_side(point, hp, True))
-    # the pool thread's slab: half of the recovery head's 2 pairs x ROWS // 2 rows x n logits
-    slab = mvcl.loss.ROWS // 2 * 1500 * 8
-    assert side_by_side <= sequential + slab
+    # one anchor view's logit buffer: one of the recovery head's 2 pairs x ROWS // 2 rows x n logits
+    view = mvcl.loss.ROWS // 2 * 1500 * 8
+    assert side_by_side <= sequential + view
 
 
 class _RecordedNumpy:
@@ -185,20 +194,21 @@ class _RecordedNumpy:
 
 def test_at_three_views_each_side_gets_one_buffer_of_its_own_slab_made_on_the_calling_thread(monkeypatch):
     # The pool thread writes only arrays the calling thread made: its own malloc arena would not reuse the memory
-    # the calling thread frees. At V = 3 the sample head's slab (2 of 3 anchor views) is larger than the recovery
-    # head's (2 of 3 views' pairs), so each side's buffer must be sized by its own cut.
+    # the calling thread frees. At V = 3 each head runs its 3 anchor views one after the other in one buffer: the
+    # recovery head's on the pool thread, of one view's 2 pairs, and the sample head's here, of one view's rows.
     monkeypatch.setenv("MVCL_THREADS", "2")
     made, main = [], threading.get_ident()
     monkeypatch.setattr("mvcl.loss.np", _RecordedNumpy(made))
     point, hp = _point(8, 1, 3, 1500, d=4), HyperParams(d=4)
     _side_by_side(point, hp, True)
-    block = mvcl.loss.ROWS // 6 * 1500  # one pair's rows of one recovery block: less than any slab
+    block = mvcl.loss.ROWS // 6 * 1500  # one pair's rows of one recovery block: less than any view's buffer
     assert made and all(size < block for thread, size in made if thread != main)
-    assert len([size for thread, size in made if thread == main and size >= block]) == 2  # one per side, once
+    buffers = [size for thread, size in made if thread == main and size >= block]
+    assert sorted(buffers) == [2 * block, mvcl.loss.ROWS // 3 * 3000]  # one per side, once
 
 
 def test_the_full_pass_and_the_dy_pass_share_one_pool(monkeypatch):
-    # With 3 threads and B V = 2, the full pass goes side by side and the dY pass at (P, F') splits over 2 threads:
+    # With 3 threads and V = 2, the full pass runs both recovery views on the pool and the dY pass at (P, F') one:
     # both take the one pool of all threads but the caller's.
     made, executor = [], mvcl.loss.ThreadPoolExecutor
 

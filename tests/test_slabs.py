@@ -1,8 +1,9 @@
-"""A large logit block runs as slabs of its fit x view entries on several threads (``loss._xent``).
+"""A large logit block runs one anchor view at a time, the recovery head's views on several threads (``loss``).
 
-Every head and a batched ``train`` must give the same bits split as whole, whatever the slab count, block size
-and temperature; the slabs run under the caller's numpy error state, in a forked child too; traced library
-functions run on the calling thread only; and small blocks never reach the pool.
+Every head and a batched ``train`` must give the same bits split as whole, whatever the thread count, block size
+and temperature, and so must a ``train`` above the real ``SPLIT_FROM``; the views run under the caller's numpy
+error state, in a forked child too; traced library functions run on the calling thread only; and small blocks
+never reach the pool.
 """
 
 import functools
@@ -29,8 +30,9 @@ from mvcl.evaluate import benchmark
 from mvcl.loss import _feature_head, _recovery_head, _recovery_maps, _sample_head, _unit_columns
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# sigma on both sides of 1 / SHIFT_ABOVE: the plain softmax and the one shifted by the row maximum
-SIGMAS = [1.0, 0.1, 1.0 / 590, 1.0 / 610, 1e-3]
+# 1/339 and 1/341 lie on either side of 1 / SHIFT_ABOVE: the plain softmax up to it, the one shifted by the row
+# maximum above it (1/590, 1/610 and 1e-3 too)
+SIGMAS = [1.0, 0.1, 1.0 / 339, 1.0 / 341, 1.0 / 590, 1.0 / 610, 1e-3]
 
 
 def _bits(*arrays) -> str:
@@ -40,7 +42,6 @@ def _bits(*arrays) -> str:
     return h.hexdigest()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # just below 1 / SHIFT_ABOVE, rs / pos can overflow
 def _heads(seed, B, V, n, d, sigma):
     """The bits of every head's losses and gradients on seeded inputs of B fits."""
     rng = np.random.default_rng(seed)
@@ -100,8 +101,22 @@ def test_a_batched_train_split_gives_the_bits_of_a_whole_one(seed, B, V, n, sigm
         assert _trained(fits, sigma) == whole
 
 
+def test_a_train_above_the_real_threshold_gives_the_same_bits_at_1_2_and_3_threads(monkeypatch):
+    # both heads' all-view blocks, 2 x ROWS // 2 rows x 1500 logits, hold at least SPLIT_FROM: nothing is patched
+    assert mvcl.loss.ROWS * 1500 >= mvcl.loss.SPLIT_FROM
+    rng = np.random.default_rng(6)
+    ds = MultiViewDataset(tuple(rng.standard_normal((D, 1500)) for D in (6, 5)))
+    cfg = TrainConfig(hp=HyperParams(d=4), max_iters=2, tol=1e-300)
+    bits = set()
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("MVCL_THREADS", workers)
+        P, F, report = train(ds, cfg)
+        bits.add(_bits(*P.mats, *F.mats, np.array(report.losses)))
+    assert len(bits) == 1
+
+
 def test_more_threads_than_cpus_with_a_short_switch_interval_keep_the_bits(monkeypatch):
-    # slabs write disjoint slices of shared arrays: a lost or crossed update would change the bits
+    # the views write disjoint slices of shared arrays: a lost or crossed update would change the bits
     whole = _heads(11, 3, 4, 9, 3, 0.1)
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", str(2 * (os.cpu_count() or 1) + 1))
@@ -125,7 +140,7 @@ def _traced_bindings():
 
 
 def test_traced_functions_run_on_the_calling_thread_only(monkeypatch):
-    threads, slab_threads = set(), set()
+    threads, xent_threads = set(), set()
 
     def record(fn, into):
         @functools.wraps(fn)
@@ -136,12 +151,12 @@ def test_traced_functions_run_on_the_calling_thread_only(monkeypatch):
 
     for module, name in _traced_bindings():
         monkeypatch.setattr(module, name, record(getattr(module, name), threads))
-    monkeypatch.setattr("mvcl.loss._xent", record(mvcl.loss._xent, slab_threads))
+    monkeypatch.setattr("mvcl.loss._xent", record(mvcl.loss._xent, xent_threads))
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "3")
     train(_fits(5, 2, 3, 8), TrainConfig(hp=HyperParams(d=2), max_iters=2))
     assert threads == {threading.get_ident()}
-    assert len(slab_threads) > 1  # the slabs did run elsewhere
+    assert len(xent_threads) > 1  # the recovery head's views did run elsewhere
 
 
 class _NoPool:
@@ -176,7 +191,7 @@ def test_fits_on_benchmarks_batch_threads_split_nothing(monkeypatch):
 @pytest.mark.parametrize("workers, split_from", [("2", 0), ("1", 0), ("2", mvcl.loss.SPLIT_FROM)])
 def test_an_overflowing_block_diverges_without_a_warning_split_or_whole(monkeypatch, workers, split_from):
     # Unshifted, logits of 1/sigma = 1000 overflow exp: train's error state turns that into NumericDivergence
-    # on the slab threads too, where numpy's default state would warn.
+    # on the pool threads too, where numpy's default state would warn.
     monkeypatch.setattr("mvcl.loss.SHIFT_ABOVE", np.inf)
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", split_from)
     monkeypatch.setenv("MVCL_THREADS", workers)

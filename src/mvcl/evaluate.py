@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
-from .loss import _SPLIT, ProjectionSet, _batch_limit, _threads, embeddings
+from .loss import SPLIT_FROM, ProjectionSet, _batch_limit, _fork, _threads, embeddings
 from .optim import TrainConfig, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -110,9 +109,10 @@ def benchmark(
     The repeats share n (M per class), so those of one grid point train in
     lockstep, one ``train`` call per batch of at most ``loss._batch_limit(V, n, d)``
     (all 5 of the c6 protocol's at n = 18; one above n = 64 at V = 2), each fit
-    with its result alone. With MVCL_THREADS set, batches run on that many
-    threads, whose fits split no logit block; results do not depend on the
-    schedule. A failed repeat raises BenchmarkError naming it.
+    with its result alone. Batches are forked over the threads (``loss._fork``)
+    only if each one's fits hold ``loss.SPLIT_FROM`` logits a pass, B V(V-1) n^2
+    (from n = 317 at V = 2). Results do not depend on the schedule. A failed
+    repeat raises BenchmarkError naming it.
     """
     if ds.labels is None:
         raise LabelsRequired("benchmark needs a labelled dataset")
@@ -122,6 +122,7 @@ def benchmark(
     for d in sweep:
         if not 1 <= d < min(ds.dims):
             raise DimError(f"swept dimension {d} must lie in [1, {min(ds.dims)})")
+    _threads()  # a bad MVCL_THREADS raises here, before the first fit
 
     def train_split(r: int):
         try:
@@ -143,9 +144,11 @@ def benchmark(
         except Exception as e:  # not one fit's failure: name every repeat of the batch
             raise BenchmarkError(f"repeats {list(repeats)} failed: {e}") from e
 
-    workers = min(_threads(), len(batches)) if os.environ.get("MVCL_THREADS", "").strip() else 1
-    with ThreadPoolExecutor(workers, initializer=_SPLIT.set, initargs=(False,)) as pool:  # its fits run whole
-        trained = list((pool.map if workers > 1 else map)(run, batches))
+    # Smaller batches fight over the interpreter lock: 4 at n = 18 took 1.28-1.66 s on 2 threads, 0.93-1.12 s on 1.
+    if min(len(repeats) for _, repeats in batches) * ds.V * (ds.V - 1) * splits[0][0].n ** 2 >= SPLIT_FROM:
+        trained = _fork([partial(run, batch) for batch in batches])
+    else:
+        trained = [run(batch) for batch in batches]
 
     fitted = {(r, d): P for (d, repeats), Ps in zip(batches, trained) for r, P in zip(repeats, Ps)}
     per_repeat = []

@@ -26,7 +26,8 @@ recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
 (``_recovery_maps``), the feature head the V candidate views of every row of one
 Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs: one ROWS x kn
 logit block is alive. A large block (``SPLIT_FROM``) runs one anchor view at a time, and only
-the recovery head's views go to other threads, beside the sample head (``_recovery_head``).
+the recovery head's views go to other threads, beside the sample head (``_recovery_head``), through
+``_fork``, the one fork-join of the library, which ``evaluate.benchmark`` also uses for its batches.
 A batch holds at most ``_batch_limit`` fits, so that each fit runs in one row block, as it
 does alone, and gets its result alone.
 Every expectation is an arithmetic mean over the anchor index and a plain sum over
@@ -39,9 +40,9 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -172,12 +173,11 @@ def _batch_limit(V: int, n: int, d: int) -> int:
 SHIFT_ABOVE = 340.0
 
 # A head whose all-view logit block holds at least this many entries runs its row blocks one anchor view at a time
-# (``_by_anchor_view``), and the recovery head's views go to the pool of all threads but the caller's (``_threads``);
-# a smaller block runs whole on the calling thread, as do all on benchmark's batch threads (_SPLIT). Measured on 2
-# cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at n = 600, 153,600
+# (``_by_anchor_view``), and the recovery head forks its views (``_fork``); a smaller block runs whole on the calling
+# thread. ``evaluate.benchmark`` forks its batches only when each batch's fits hold this many logits a pass. Measured
+# on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at n = 600, 153,600
 # logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
 SPLIT_FROM = 200_000
-_SPLIT = contextvars.ContextVar("mvcl_split", default=True)  # False: no view goes to the pool
 _pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
 
 
@@ -189,6 +189,26 @@ def _executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
+def _fork(jobs: list) -> list:
+    """The results of the callables ``jobs`` in job order, or the first error in job order, once all have finished:
+    jobs[0] runs here and the others on the pool, each in a copy of this context (so under its numpy error state),
+    until the join, from the last job back, runs here each one the pool has not started. So a job may fork again, and
+    the fixed join order makes the result the serial one (Cilk-5: Frigo, Leiserson & Randall, 1998)."""
+    if len(jobs) == 1 or _threads() == 1:
+        return [job() for job in jobs]
+    pool = _executor()
+    futures = [None, *(pool.submit(contextvars.copy_context().run, job) for job in jobs[1:])]
+    for i in (0, *range(len(jobs) - 1, 0, -1)):
+        if i == 0 or futures[i].cancel():
+            futures[i] = Future()
+            try:
+                futures[i].set_result(jobs[i]())
+            except Exception as e:  # raised below, once every job has finished
+                futures[i].set_exception(e)
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 def _by_anchor_view(V: int, *arrays) -> list[list]:
     """One group per anchor view a: arrays (B, V, ...) sliced to [:, a:a+1], lists of V to [a:a+1], None kept."""
     return [[x if x is None else x[a:a + 1] if x.__class__ is list else x[:, a:a + 1] for x in arrays]
@@ -196,10 +216,15 @@ def _by_anchor_view(V: int, *arrays) -> list[list]:
 
 
 def _threads() -> int:
-    """The threads MVCL_THREADS asks for: unset, the CPUs this process may run on; 0, one per CPU."""
+    """The threads MVCL_THREADS asks for, 0 meaning one per CPU. Unset, the CPUs this process may run on if BLAS runs
+    one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set, and each one set reads 1), else 1:
+    on 2 cores, mvcl's threads beside BLAS's made a fit_large-size train 2-2.5x slower than one mvcl thread."""
     raw = os.environ.get("MVCL_THREADS", "").strip()
     if raw and not raw.isdecimal():
         raise ValueError(f"MVCL_THREADS must be an integer >= 0, got {raw!r}")
+    blas = {os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if not raw and blas - {""} != {"1"}:
+        return 1
     mine = os.sched_getaffinity(0) if not raw and hasattr(os, "sched_getaffinity") else ()
     return len(mine) or int(raw or 0) or os.cpu_count() or 1
 
@@ -488,9 +513,9 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
     as the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
 
-    From ``SPLIT_FROM`` logits the blocks run one anchor view at a time, and with threads to spare (``_SPLIT``)
-    the views go to the pool, cut into runs of consecutive views, one per thread: every run while beside() runs
-    here, else all but the last, which runs here. Each run has one buffer, made here.
+    From ``SPLIT_FROM`` logits the blocks run one anchor view at a time; with several threads, runs of consecutive
+    views are forked (``_fork``), one per thread: all beside beside(), which runs here, else one of them here. Each
+    run's buffer is made here: a pool thread's own malloc arena would not reuse the memory this thread frees.
     """
     W, R = maps[0], maps[1][:, :, None]  # R_m for every pair (m, v)
     B, V, d, n = Yh.shape
@@ -500,26 +525,20 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
     rows = min(n, max(1, ROWS // (B * V * (V - 1))))
     WE = np.empty(U.shape) if grad else None
-    groups, pooled, futures = [(X, nx, W, U, WE)], 0, []
+    groups = [(X, nx, W, U, WE)]
     if B * V * (V - 1) * rows * n >= SPLIT_FROM:
         groups = _by_anchor_view(V, X, nx, W, U, WE)
-    runs = [groups]
-    if len(groups) > 1 and _SPLIT.get() and (threads := _threads()) > 1:
+    shape = (B, V // len(groups), V - 1, rows, n)  # a group's first block: each run's buffer, made here
+    if len(groups) == 1 or (threads := _threads()) == 1:
+        side = beside() if beside else ()
+        blocks, dF = _recovery_blocks(groups, sigma, c, rows, want_dF, np.empty(shape))
+    else:
         k = min(V, threads - (beside is not None))
-        runs, pooled = [groups[V * i // k:V * (i + 1) // k] for i in range(k)], k - (beside is None)
-    shape = (B, V // len(groups), V - 1, rows, n)  # a group's first block: each run's logit buffer
-    try:
-        for run in runs[:pooled]:  # in a copy of this context, so under its numpy error state
-            job = (_recovery_blocks, run, sigma, c, rows, want_dF, np.empty(shape))
-            futures.append(_executor().submit(contextvars.copy_context().run, *job))
-        side, here = beside() if beside else (), runs[pooled:]
-        blocks, dF = _recovery_blocks(*here, sigma, c, rows, want_dF, np.empty(shape)) if here else ([], [])
-    finally:
-        if futures:
-            wait(futures)  # also when beside() or the run here raises
-    for f in reversed(futures):  # the pool's runs come first
-        more, products = f.result()
-        blocks, dF = more + blocks, products + dF
+        runs = [partial(_recovery_blocks, groups[V * i // k:V * (i + 1) // k], sigma, c, rows, want_dF, np.empty(shape))
+                for i in range(k)]
+        side, *done = _fork([beside, *runs]) if beside else ((), *_fork(runs))
+        del runs  # and with them their buffers, before dY and dF are formed
+        blocks, dF = ([x for part in parts for x in part] for parts in zip(*done))
     total = _summed(blocks, B)
     if not grad:
         return (total / n, None, None) + side

@@ -209,8 +209,9 @@ def test_benchmark_is_deterministic():
 
 
 def test_benchmark_parallel_matches_sequential(monkeypatch):
-    # the 3 repeats of each d train as one batch: two batches for two threads
+    # the 3 repeats of each d train as one batch: two batches for two threads, which fork only above SPLIT_FROM
     seq = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3])
+    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "3")
     par = benchmark(_bench_ds(), _cfg(), SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3])
     assert seq.rows == par.rows

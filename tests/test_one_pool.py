@@ -1,49 +1,80 @@
-"""Only the recovery head hands work to the pool, and nothing that a pool job runs can hand work to it again.
+"""Only ``_fork`` hands work to the pool, only ``_executor`` makes it, and only ``_threads`` reads MVCL_THREADS.
 
-A pool thread that submitted to its own pool could wait for a job queued behind itself; the guard rules that out by
-construction, as ``test_one_softmax`` rules out a second softmax.
+``_fork`` runs here every job that the pool has not started, so a job may fork again without any thread waiting on
+a job that no thread will run. A submit anywhere else could wait on a job queued behind its own thread; the guard
+rules that out by construction, as ``test_one_softmax`` rules out a second softmax.
 """
 
 import ast
+import threading
+import time
+from functools import partial
 from pathlib import Path
 
-LOSS = Path(__file__).resolve().parents[1] / "src" / "mvcl" / "loss.py"
-POOL_JOB = "_recovery_blocks"  # what _recovery_head submits
-SUBMITTERS = {"_executor", "_recovery_head"}
+import mvcl.loss
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvcl"
+OWNERS = {"_executor": "_fork", "ThreadPoolExecutor": "_executor", "MVCL_THREADS": "_threads"}
 
 
-def _names(source: str) -> dict[str, set[str]]:
-    """Each top-level function of ``source`` mapped to the top-level functions it names, called or passed on."""
-    tops = {top.name: top for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
-    return {name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name) and node.id in tops}
-            for name, top in tops.items()}
+def _namers(source: str, module: str = "") -> dict[str, set[str]]:
+    """Each key of OWNERS mapped to the top-level definitions of ``source`` that name it, as a name, an attribute or
+    a string: ``module.definition``."""
+    found = {}
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", type(top).__name__)
+        for node in ast.walk(top):
+            named = getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))
+            if isinstance(named, str) and named in OWNERS:
+                found.setdefault(named, set()).add(f"{module}{name}")
+    return found
 
 
-def _pool_faults(source: str) -> tuple[set[str], set[str]]:
-    """(the functions but _recovery_head that name _executor, the SUBMITTERS that the pool job reaches)."""
-    names = _names(source)
-    callers = {name for name, named in names.items() if "_executor" in named} - {"_recovery_head"}
-    reached, todo = set(), [POOL_JOB]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += names.get(name, ())
-    return callers, reached & SUBMITTERS
+def _faults(source: str) -> dict[str, set[str]]:
+    """The definitions but its owner that name each key of OWNERS."""
+    return {key: names - {OWNERS[key]} for key, names in _namers(source).items() if names - {OWNERS[key]}}
 
 
 def test_guard_flags_a_pool_job_that_submits():
-    # a block softmax that splits itself over the pool, reached from the pool job
+    # a block softmax that splits itself over the pool from inside a pool job, a head that submits its own views,
+    # and a benchmark with a pool and a thread rule of its own
     source = (
-        "def _executor():\n    return pool\n"
+        "def _executor():\n    return ThreadPoolExecutor(1)\n"
+        "def _fork(jobs):\n    return [_executor().submit(job) for job in jobs]\n"
         "def _xent(S):\n    return _executor().submit(_xent, S[1:])\n"
-        "def _recovery_blocks(S):\n    return _xent(S)\n"
-        "def _recovery_head(S):\n    return _executor().submit(_recovery_blocks, S)\n"
+        "def _recovery_head(S):\n    return _executor().submit(_xent, S)\n"
+        "def _threads():\n    return int(os.environ['MVCL_THREADS'])\n"
+        "def benchmark(runs):\n    if os.environ.get('MVCL_THREADS'):\n"
+        "        return ThreadPoolExecutor(_threads()).map(run, runs)\n"
     )
-    assert _pool_faults(source) == ({"_xent"}, {"_executor"})
+    assert _faults(source) == {"_executor": {"_xent", "_recovery_head"}, "ThreadPoolExecutor": {"benchmark"},
+                               "MVCL_THREADS": {"benchmark"}}
 
 
-def test_only_the_recovery_head_submits_and_its_pool_job_never_does():
-    names = _names(LOSS.read_text())
-    assert {"_executor", POOL_JOB} <= names["_recovery_head"]  # else the guard below would hold vacuously
-    assert _pool_faults(LOSS.read_text()) == (set(), set())
+def test_only_fork_names_the_pool_and_only_threads_reads_the_thread_count():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for key, names in _namers(path.read_text(), f"{path.stem}.").items():
+            found.setdefault(key, set()).update(names)
+    assert found == {"_executor": {"loss._fork"}, "ThreadPoolExecutor": {"loss._executor"},
+                     "MVCL_THREADS": {"loss._threads"}}
+
+
+def _tree(depth: int, path: tuple, finished: list):
+    """Forks of 3 jobs, ``depth`` levels deep, each leaf giving its path: a later leaf sleeps less."""
+    if depth == 0:
+        time.sleep(0.002 * (3 - path[-1]))
+        finished.append(path)
+        return path
+    return mvcl.loss._fork([partial(_tree, depth - 1, path + (i,), finished) for i in range(3)])
+
+
+def test_forks_two_levels_deep_on_a_one_worker_pool_finish_and_join_in_job_order(monkeypatch):
+    monkeypatch.setenv("MVCL_THREADS", "2")  # the pool of all threads but the caller's: one worker
+    results, finished = [], []
+    watchdog = threading.Thread(target=lambda: results.append(_tree(2, (), finished)), daemon=True)
+    watchdog.start()
+    watchdog.join(30)
+    assert not watchdog.is_alive(), "a join waits on a job that no thread will run"
+    assert results == [[[(i, j) for j in range(3)] for i in range(3)]]
+    assert finished != sorted(finished)  # the join runs the unstarted jobs last first: completion order differs

@@ -69,12 +69,11 @@ def _side_by_side(point, hp, grad):
 def test_a_side_by_side_pass_gives_the_bits_of_the_sequential_one(seed, B, V, n, sigma, own, grad, workers):
     hp = HyperParams(d=2, sigma1=sigma, sigma2=sigma, sigma3=sigma, fea_include_self_view=own)
     point = _point(seed, B, V, n, D=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = [_bits(*_sequential(point, hp, grad))]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("mvcl.loss.SPLIT_FROM", 0)  # every block is large: the heads run side by side
-            mp.setenv("MVCL_THREADS", str(workers))
-            assert [_bits(*_side_by_side(point, hp, grad))] == want
+    want = [_bits(*_sequential(point, hp, grad))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("mvcl.loss.SPLIT_FROM", 0)  # every block is large: the heads run side by side
+        mp.setenv("MVCL_THREADS", str(workers))
+        assert [_bits(*_side_by_side(point, hp, grad))] == want
 
 
 def _xent_threads(monkeypatch):
@@ -116,23 +115,23 @@ def test_at_three_threads_for_three_views_the_recovery_views_run_on_the_pool_bes
 def test_a_full_pass_stays_on_the_calling_thread_when_it_cannot_go_side_by_side(monkeypatch, why):
     monkeypatch.setenv("MVCL_THREADS", "1" if why == "one thread" else "2")
     hp = HyperParams(d=4, beta=0.0 if why == "a zero beta" else 1.0)
-    # benchmark's batch executor sets _SPLIT to False on each of its threads
-    token = mvcl.loss._SPLIT.set(why != "benchmark's batch threads")
-    try:
-        seen = _xent_threads(monkeypatch)
-        _side_by_side(_point(3, 1, 2, 1500, d=4), hp, True)
-    finally:
-        mvcl.loss._SPLIT.reset(token)
-    assert set().union(*seen.values()) == {threading.get_ident()}
+    seen, point = _xent_threads(monkeypatch), _point(3, 1, 2, 1500, d=4)
+    if why == "benchmark's batch threads":  # two passes forked as benchmark forks its batches: no thread is free
+        mvcl.loss._fork([lambda: _side_by_side(point, hp, True)] * 2)
+        assert seen[4] == seen[5] and len(seen[4]) == 2  # each pass's heads on the one thread of its job
+    else:
+        _side_by_side(point, hp, True)
+        assert set().union(*seen.values()) == {threading.get_ident()}
 
 
 def test_a_raising_p_only_head_waits_for_the_row_blocks(monkeypatch):
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "2")
-    main, xent, finished = threading.get_ident(), mvcl.loss._xent, []
+    main, xent, finished, started = threading.get_ident(), mvcl.loss._xent, [], threading.Event()
 
     def slow(S, *args, **kwargs):  # the row blocks on the pool thread outlast the failing head
         if threading.get_ident() != main:
+            started.set()
             time.sleep(0.01)
         out = xent(S, *args, **kwargs)
         finished.append(threading.get_ident())
@@ -141,7 +140,8 @@ def test_a_raising_p_only_head_waits_for_the_row_blocks(monkeypatch):
     monkeypatch.setattr("mvcl.loss._xent", slow)
     X, nx, maps, Fmats, Y, Yh, ny = _point(5, 1, 2, 9)
 
-    def beside():
+    def beside():  # once the pool has started the row blocks, which the join then waits for
+        assert started.wait(10)
         raise RuntimeError("a P-only head failed")
 
     with pytest.raises(RuntimeError, match="a P-only head failed"):
@@ -157,7 +157,16 @@ def test_an_overflowing_block_on_the_pool_thread_diverges_without_a_warning(monk
     monkeypatch.setattr("mvcl.loss.SHIFT_ABOVE", np.inf)
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "2")
-    seen = _xent_threads(monkeypatch)
+    seen, xent, main, pooled = _xent_threads(monkeypatch), mvcl.loss._xent, threading.get_ident(), threading.Event()
+
+    def held(S, *args, **kwargs):  # the P-only heads wait for the pool thread, so that the join cannot run its job
+        if threading.get_ident() == main:
+            pooled.wait(10)
+        else:
+            pooled.set()
+        return xent(S, *args, **kwargs)
+
+    monkeypatch.setattr("mvcl.loss._xent", held)
     rng = np.random.default_rng(3)
     ds = MultiViewDataset(tuple(rng.standard_normal((D, 8)) for D in (5, 4)))
     with warnings.catch_warnings():

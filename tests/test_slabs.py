@@ -9,6 +9,7 @@ never reach the pool.
 import functools
 import hashlib
 import importlib.util
+import itertools
 import multiprocessing
 import os
 import sys
@@ -30,6 +31,7 @@ from mvcl.evaluate import benchmark
 from mvcl.loss import _feature_head, _recovery_head, _recovery_maps, _sample_head, _unit_columns
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # 1/339 and 1/341 lie on either side of 1 / SHIFT_ABOVE: the plain softmax up to it, the one shifted by the row
 # maximum above it (1/590, 1/610 and 1e-3 too)
 SIGMAS = [1.0, 0.1, 1.0 / 339, 1.0 / 341, 1.0 / 590, 1.0 / 610, 1e-3]
@@ -177,15 +179,23 @@ def test_a_protocol_size_train_never_reaches_the_pool(monkeypatch):
     train(_protocol_fits(), TrainConfig(hp=HyperParams(d=5), max_iters=5))
 
 
-def test_fits_on_benchmarks_batch_threads_split_nothing(monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_a_benchmark_whose_batches_and_heads_fork_gives_the_sequential_rows(monkeypatch, workers):
     ds = synth_generate(default_synth_spec(1))
     cfg = TrainConfig(hp=HyperParams(d=3), max_iters=5)
+    monkeypatch.setenv("MVCL_THREADS", "1")
     seq = benchmark(ds, cfg, SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3])
-    monkeypatch.setattr("mvcl.loss.ThreadPoolExecutor", _NoPool)
-    monkeypatch.setattr("mvcl.loss._pool", (None, None))
-    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
-    monkeypatch.setenv("MVCL_THREADS", "2")  # two batches, one per thread
+    forks, executor = [], mvcl.loss._executor
+
+    def from_fork():
+        forks.append(sys._getframe(1).f_code.co_name)
+        return executor()
+
+    monkeypatch.setattr("mvcl.loss._executor", from_fork)
+    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)  # the two batches fork, and so do their fits' recovery heads
+    monkeypatch.setenv("MVCL_THREADS", workers)
     assert benchmark(ds, cfg, SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3]).rows == seq.rows
+    assert set(forks) == ({"_fork"} if workers != "1" else set())
 
 
 @pytest.mark.parametrize("workers, split_from", [("2", 0), ("1", 0), ("2", mvcl.loss.SPLIT_FROM)])
@@ -233,8 +243,24 @@ def test_a_bad_thread_count_is_rejected_in_one_line(monkeypatch, raw):
 @pytest.mark.parametrize("raw, want", [("3", 3), (" 2 ", 2), ("0", None), ("", None)])
 def test_a_thread_count_reads_unset_and_zero_as_the_cpus(monkeypatch, raw, want):
     monkeypatch.setenv("MVCL_THREADS", raw)
+    for var, value in zip(BLAS, ("1", "", "")):  # unset reads as the CPUs once BLAS runs one thread
+        monkeypatch.setenv(var, value)
     cpus = len(mvcl.loss.os.sched_getaffinity(0)) if raw == "" else mvcl.loss.os.cpu_count()
     assert mvcl.loss._threads() == (want or cpus)
+
+
+def test_unset_the_thread_count_is_the_cpus_only_when_blas_runs_one_thread(monkeypatch):
+    cpus, started = len(os.sched_getaffinity(0)), threading.active_count()
+    for mine, *blas in itertools.product([None, "", "0", "1", "3"], *[[None, "", "1", "4", " 1 "]] * len(BLAS)):
+        for var, value in zip(("MVCL_THREADS", *BLAS), (mine, *blas)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        pinned = {v.strip() for v in blas if v and v.strip()} == {"1"}  # every one set, and one at least, reads 1
+        want = int(mine) or os.cpu_count() if mine not in (None, "") else cpus if pinned else 1
+        assert mvcl.loss._threads() == want, (mine, blas)
+    assert threading.active_count() == started
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])

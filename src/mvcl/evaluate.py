@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
-from .loss import SPLIT_FROM, ProjectionSet, _batch_limit, _fork, _threads, embeddings
+from .loss import ProjectionSet, _batch_limit, _fork, _threads, embeddings
 from .optim import TrainConfig, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -109,10 +109,10 @@ def benchmark(
     The repeats share n (M per class), so those of one grid point train in
     lockstep, one ``train`` call per batch of at most ``loss._batch_limit(V, n, d)``
     (all 5 of the c6 protocol's at n = 18; one above n = 64 at V = 2), each fit
-    with its result alone. Batches are forked over the threads (``loss._fork``)
+    with its result alone. The batches fork over the threads (``loss._fork``)
     only if each one's fits hold ``loss.SPLIT_FROM`` logits a pass, B V(V-1) n^2
-    (from n = 317 at V = 2). Results do not depend on the schedule. A failed
-    repeat raises BenchmarkError naming it.
+    (from n = 317 at V = 2), and each batch's heads then run on its own thread.
+    Results do not depend on the schedule. A failed repeat raises BenchmarkError naming it.
     """
     if ds.labels is None:
         raise LabelsRequired("benchmark needs a labelled dataset")
@@ -144,11 +144,10 @@ def benchmark(
         except Exception as e:  # not one fit's failure: name every repeat of the batch
             raise BenchmarkError(f"repeats {list(repeats)} failed: {e}") from e
 
-    # Smaller batches fight over the interpreter lock: 4 at n = 18 took 1.28-1.66 s on 2 threads, 0.93-1.12 s on 1.
-    if min(len(repeats) for _, repeats in batches) * ds.V * (ds.V - 1) * splits[0][0].n ** 2 >= SPLIT_FROM:
-        trained = _fork([partial(run, batch) for batch in batches])
-    else:
-        trained = [run(batch) for batch in batches]
+    # A batch's fits hold B V(V-1) n^2 logits a pass; below SPLIT_FROM, _fork runs the batches here in order, as
+    # smaller ones fight over the interpreter lock: 4 at n = 18 took 1.28-1.66 s on 2 threads, 0.93-1.12 s on 1.
+    B = min(len(repeats) for _, repeats in batches)
+    trained = _fork([partial(run, batch) for batch in batches], B * ds.V * (ds.V - 1) * splits[0][0].n ** 2)
 
     fitted = {(r, d): P for (d, repeats), Ps in zip(batches, trained) for r, P in zip(repeats, Ps)}
     per_repeat = []

@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -174,11 +174,12 @@ SHIFT_ABOVE = 340.0
 
 # A head whose all-view logit block holds at least this many entries runs its row blocks one anchor view at a time
 # (``_by_anchor_view``), and the recovery head forks its views (``_fork``); a smaller block runs whole on the calling
-# thread. ``evaluate.benchmark`` forks its batches only when each batch's fits hold this many logits a pass. Measured
+# thread. ``_fork`` runs jobs of fewer logits in order (``evaluate.benchmark``'s batches, by a pass's logits). Measured
 # on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at n = 600, 153,600
 # logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
 SPLIT_FROM = 200_000
 _pool = (None, None)  # ((pid, threads), the executor of all threads but the caller's), made anew in a forked child
+_forked = contextvars.ContextVar("mvcl_forked", default=False)  # True in a job of _fork: its forks run in order
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -189,24 +190,35 @@ def _executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
-def _fork(jobs: list) -> list:
-    """The results of the callables ``jobs`` in job order, or the first error in job order, once all have finished:
-    jobs[0] runs here and the others on the pool, each in a copy of this context (so under its numpy error state),
-    until the join, from the last job back, runs here each one the pool has not started. So a job may fork again, and
-    the fixed join order makes the result the serial one (Cilk-5: Frigo, Leiserson & Randall, 1998)."""
-    if len(jobs) == 1 or _threads() == 1:
+def _fork(jobs: list, logits: float = math.inf) -> list:
+    """The results of the callables ``jobs``, or the first error, in job order once every thread has stopped: the
+    fixed join order gives the serial result (Cilk-5: Frigo, Leiserson & Randall, 1998). With T = min(len(jobs),
+    ``_threads``) > 1 and ``SPLIT_FROM`` ``logits`` a job or more, thread t runs jobs t, t + T, ... in order up to
+    its first error (thread 0 here, the others on the pool), each in a copy of this context (so under its numpy
+    error state) where ``_threads`` reads 1: a job's own forks run in order on its thread."""
+    T = min(len(jobs), _threads())
+    if T == 1 or logits < SPLIT_FROM:
         return [job() for job in jobs]
-    pool = _executor()
-    futures = [None, *(pool.submit(contextvars.copy_context().run, job) for job in jobs[1:])]
-    for i in (0, *range(len(jobs) - 1, 0, -1)):
-        if i == 0 or futures[i].cancel():
-            futures[i] = Future()
+    results, failed = [None] * len(jobs), []
+
+    def share(t):  # thread t's jobs, in order up to its first error
+        for i in range(t, len(jobs), T):
             try:
-                futures[i].set_result(jobs[i]())
-            except Exception as e:  # raised below, once every job has finished
-                futures[i].set_exception(e)
-    wait(futures)
-    return [f.result() for f in futures]
+                results[i] = jobs[i]()
+            except BaseException as e:  # raised below, once every thread has stopped
+                failed.append((i, e))
+                return
+
+    pool, context = _executor(), contextvars.copy_context()
+    context.run(_forked.set, True)
+    futures = [pool.submit(context.copy().run, share, t) for t in range(1, T)]
+    try:
+        context.run(share, 0)
+    finally:
+        wait(futures)  # the pool's jobs write into this caller's arrays
+    if failed:
+        raise min(failed)[1]  # the indices differ, and no job before this one raised
+    return results
 
 
 def _by_anchor_view(V: int, *arrays) -> list[list]:
@@ -216,14 +228,15 @@ def _by_anchor_view(V: int, *arrays) -> list[list]:
 
 
 def _threads() -> int:
-    """The threads MVCL_THREADS asks for, 0 meaning one per CPU. Unset, the CPUs this process may run on if BLAS runs
-    one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set, and each one set reads 1), else 1:
-    on 2 cores, mvcl's threads beside BLAS's made a fit_large-size train 2-2.5x slower than one mvcl thread."""
+    """The threads that a fork here may use: 1 in a job of ``_fork``, else those MVCL_THREADS asks for, 0 meaning one
+    per CPU. Unset, the CPUs this process may run on if BLAS runs one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+    MKL_NUM_THREADS is set, and each one set reads 1), else 1: on 2 cores, mvcl's threads beside BLAS's made a
+    fit_large-size train 2-2.5x slower than one mvcl thread."""
     raw = os.environ.get("MVCL_THREADS", "").strip()
     if raw and not raw.isdecimal():
         raise ValueError(f"MVCL_THREADS must be an integer >= 0, got {raw!r}")
     blas = {os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    if not raw and blas - {""} != {"1"}:
+    if _forked.get() or not raw and blas - {""} != {"1"}:
         return 1
     mine = os.sched_getaffinity(0) if not raw and hasattr(os, "sched_getaffinity") else ()
     return len(mine) or int(raw or 0) or os.cpu_count() or 1

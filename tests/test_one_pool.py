@@ -1,8 +1,7 @@
 """Only ``_fork`` hands work to the pool, only ``_executor`` makes it, and only ``_threads`` reads MVCL_THREADS.
 
-``_fork`` runs here every job that the pool has not started, so a job may fork again without any thread waiting on
-a job that no thread will run. A submit anywhere else could wait on a job queued behind its own thread; the guard
-rules that out by construction, as ``test_one_softmax`` rules out a second softmax.
+In a job of ``_fork`` a fork runs its jobs in order, so no pool thread waits on a job queued behind itself. A submit
+anywhere else could; the guard rules that out by construction, as ``test_one_softmax`` rules out a second softmax.
 """
 
 import ast
@@ -10,6 +9,8 @@ import threading
 import time
 from functools import partial
 from pathlib import Path
+
+import pytest
 
 import mvcl.loss
 
@@ -60,21 +61,45 @@ def test_only_fork_names_the_pool_and_only_threads_reads_the_thread_count():
                      "MVCL_THREADS": {"loss._threads"}}
 
 
-def _tree(depth: int, path: tuple, finished: list):
-    """Forks of 3 jobs, ``depth`` levels deep, each leaf giving its path: a later leaf sleeps less."""
+def _tree(depth: int, path: tuple, leaves: list):
+    """Forks of 3 jobs, ``depth`` levels deep, each leaf giving its path: the leaves of the first job sleep."""
     if depth == 0:
-        time.sleep(0.002 * (3 - path[-1]))
-        finished.append(path)
+        time.sleep(0.05 if path[0] == 0 else 0.0)
+        leaves.append((path, threading.get_ident()))
         return path
-    return mvcl.loss._fork([partial(_tree, depth - 1, path + (i,), finished) for i in range(3)])
+    return mvcl.loss._fork([partial(_tree, depth - 1, path + (i,), leaves) for i in range(3)])
 
 
 def test_forks_two_levels_deep_on_a_one_worker_pool_finish_and_join_in_job_order(monkeypatch):
     monkeypatch.setenv("MVCL_THREADS", "2")  # the pool of all threads but the caller's: one worker
-    results, finished = [], []
-    watchdog = threading.Thread(target=lambda: results.append(_tree(2, (), finished)), daemon=True)
+    results, leaves = [], []
+    watchdog = threading.Thread(target=lambda: results.append(_tree(2, (), leaves)), daemon=True)
     watchdog.start()
     watchdog.join(30)
-    assert not watchdog.is_alive(), "a join waits on a job that no thread will run"
+    assert not watchdog.is_alive(), "a fork waits on a job that no thread will run"
     assert results == [[[(i, j) for j in range(3)] for i in range(3)]]
-    assert finished != sorted(finished)  # the join runs the unstarted jobs last first: completion order differs
+    paths = [path for path, _ in leaves]
+    assert paths != sorted(paths)  # the first job's leaves finish after the second's: the join orders the results
+    # jobs 0 and 2 run on the calling thread, job 1 on the one pool thread, each one's own fork in order
+    threads = [{thread for path, thread in leaves if path[0] == i} for i in range(3)]
+    assert threads[0] == threads[2] == {watchdog.ident} and len(threads[1]) == 1 and threads[1] != threads[0]
+    assert [[path for path in paths if path[0] == i] for i in range(3)] == [[(i, j) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("raising", [{0, 1}, {2, 3}, {1, 2}, {3}, {4}])
+def test_a_fork_raises_its_first_error_in_job_order_once_every_thread_has_stopped(monkeypatch, raising):
+    monkeypatch.setenv("MVCL_THREADS", "2")  # jobs 0, 2 and 4 run here, 1 and 3 on the pool
+    ran = []
+
+    def job(i):
+        time.sleep(0.01 * (i % 2))  # the pool's jobs end after the calling thread's
+        ran.append(i)
+        if i in raising:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as error:
+        mvcl.loss._fork([partial(job, i) for i in range(5)])
+    assert error.value.args == (min(raising),)
+    # each thread stops at its own first error, and the join waits for both
+    assert sorted(ran) == [i for i in range(5) if not raising & set(range(i % 2, i, 2))]

@@ -117,8 +117,11 @@ def test_a_full_pass_stays_on_the_calling_thread_when_it_cannot_go_side_by_side(
     hp = HyperParams(d=4, beta=0.0 if why == "a zero beta" else 1.0)
     seen, point = _xent_threads(monkeypatch), _point(3, 1, 2, 1500, d=4)
     if why == "benchmark's batch threads":  # two passes forked as benchmark forks its batches: no thread is free
+        executor, calls = mvcl.loss._executor, []
+        monkeypatch.setattr("mvcl.loss._executor", lambda: calls.append(1) or executor())
         mvcl.loss._fork([lambda: _side_by_side(point, hp, True)] * 2)
-        assert seen[4] == seen[5] and len(seen[4]) == 2  # each pass's heads on the one thread of its job
+        assert len(calls) == 1  # the passes' heads fork nothing: each runs on the one thread of its job
+        assert seen[4] == seen[5] and len(seen[4]) == 2
     else:
         _side_by_side(point, hp, True)
         assert set().union(*seen.values()) == {threading.get_ident()}
@@ -127,11 +130,10 @@ def test_a_full_pass_stays_on_the_calling_thread_when_it_cannot_go_side_by_side(
 def test_a_raising_p_only_head_waits_for_the_row_blocks(monkeypatch):
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "2")
-    main, xent, finished, started = threading.get_ident(), mvcl.loss._xent, [], threading.Event()
+    main, xent, finished = threading.get_ident(), mvcl.loss._xent, []
 
     def slow(S, *args, **kwargs):  # the row blocks on the pool thread outlast the failing head
         if threading.get_ident() != main:
-            started.set()
             time.sleep(0.01)
         out = xent(S, *args, **kwargs)
         finished.append(threading.get_ident())
@@ -140,8 +142,7 @@ def test_a_raising_p_only_head_waits_for_the_row_blocks(monkeypatch):
     monkeypatch.setattr("mvcl.loss._xent", slow)
     X, nx, maps, Fmats, Y, Yh, ny = _point(5, 1, 2, 9)
 
-    def beside():  # once the pool has started the row blocks, which the join then waits for
-        assert started.wait(10)
+    def beside():
         raise RuntimeError("a P-only head failed")
 
     with pytest.raises(RuntimeError, match="a P-only head failed"):
@@ -157,16 +158,7 @@ def test_an_overflowing_block_on_the_pool_thread_diverges_without_a_warning(monk
     monkeypatch.setattr("mvcl.loss.SHIFT_ABOVE", np.inf)
     monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)
     monkeypatch.setenv("MVCL_THREADS", "2")
-    seen, xent, main, pooled = _xent_threads(monkeypatch), mvcl.loss._xent, threading.get_ident(), threading.Event()
-
-    def held(S, *args, **kwargs):  # the P-only heads wait for the pool thread, so that the join cannot run its job
-        if threading.get_ident() == main:
-            pooled.wait(10)
-        else:
-            pooled.set()
-        return xent(S, *args, **kwargs)
-
-    monkeypatch.setattr("mvcl.loss._xent", held)
+    seen = _xent_threads(monkeypatch)
     rng = np.random.default_rng(3)
     ds = MultiViewDataset(tuple(rng.standard_normal((D, 8)) for D in (5, 4)))
     with warnings.catch_warnings():

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -180,7 +181,7 @@ def test_a_protocol_size_train_never_reaches_the_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
-def test_a_benchmark_whose_batches_and_heads_fork_gives_the_sequential_rows(monkeypatch, workers):
+def test_a_benchmark_whose_batches_fork_gives_the_sequential_rows(monkeypatch, workers):
     ds = synth_generate(default_synth_spec(1))
     cfg = TrainConfig(hp=HyperParams(d=3), max_iters=5)
     monkeypatch.setenv("MVCL_THREADS", "1")
@@ -192,10 +193,26 @@ def test_a_benchmark_whose_batches_and_heads_fork_gives_the_sequential_rows(monk
         return executor()
 
     monkeypatch.setattr("mvcl.loss._executor", from_fork)
-    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)  # the two batches fork, and so do their fits' recovery heads
+    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)  # the two batches fork; in their jobs the heads run in order
     monkeypatch.setenv("MVCL_THREADS", workers)
     assert benchmark(ds, cfg, SplitPlan(M=4, repeats=3, seed=1), d_sweep=[2, 3]).rows == seq.rows
-    assert set(forks) == ({"_fork"} if workers != "1" else set())
+    assert forks == (["_fork"] if workers != "1" else [])  # one fork, the batches'
+
+
+def test_a_forked_benchmarks_memory_does_not_grow_with_its_iterations(monkeypatch):
+    ds = synth_generate(default_synth_spec(1))
+    monkeypatch.setattr("mvcl.loss.SPLIT_FROM", 0)  # the batches fork, and every head would split
+    monkeypatch.setenv("MVCL_THREADS", "2")
+    peaks = []
+    for iters in (30, 30, 330):  # the first run fills the caches
+        cfg = TrainConfig(hp=HyperParams(d=3), max_iters=iters, tol=1e-300)  # no fit converges
+        tracemalloc.start()
+        benchmark(ds, cfg, SplitPlan(M=4, repeats=2, seed=1), d_sweep=[2, 3])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # 4 fits' loss trajectories take 4 x 32 bytes an iteration, and the two batches' peaks meet at random (up to
+    # 74 kB); a join that left a cancelled job queued for each head call grew 6-8 MB here
+    assert peaks[2] - peaks[1] < 1000 * 300, peaks
 
 
 @pytest.mark.parametrize("workers, split_from", [("2", 0), ("1", 0), ("2", mvcl.loss.SPLIT_FROM)])

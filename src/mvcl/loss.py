@@ -14,25 +14,23 @@ similarities:
 
 All three heads share one softmax cross-entropy, ``_xent``, giving the loss
 and the unnormalised gradient from one pass; it alone holds the exponential,
-the overflow rule (``SHIFT_ABOVE``) and the positives' layout.
+the overflow rule (``SHIFT_ABOVE``) and the positives' layout. The sample and
+recovery heads also share one blocked contrast, ``_contrast``: its row-block loop
+and both gradients' products. The feature head, one Gram block, keeps its own.
 
-The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters:
-every array carries a leading fit axis, then a view axis. Y, its unit columns Yh
-(``_unit_columns``) and the recovery anchors W_m = F_m (X^m / nx^m) are (B, V, d, n)
-whatever the D_m; view m's data X^m (B, D_m, n) is read with its column norms nx,
-never held as a unit-column copy; each head returns B losses. Each head runs all
-its view pairs as one batched block: the sample head its V anchor views, the
-recovery head its V(V-1) ordered pairs in d-space, through R_m = F_m F_m^T
-(``_recovery_maps``), the feature head the V candidate views of every row of one
-Gram block. ``ROWS`` anchor rows are shared over a batch's fits and pairs: one ROWS x kn
-logit block is alive. A large block (``SPLIT_FROM``) runs one anchor view at a time, and only
-the recovery head's views go to other threads, beside the sample head (``_recovery_head``), through
-``_fork``, the one fork-join of the library, which ``evaluate.benchmark`` also uses for its batches.
-A batch holds at most ``_batch_limit`` fits, so that each fit runs in one row block, as it
-does alone, and gets its result alone.
-Every expectation is an arithmetic mean over the anchor index and a plain sum over
-view pairs, so loss magnitudes do not grow with n. Accumulation is float64 with a
-fixed left-to-right ordering for reproducibility.
+The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters: every array carries a leading
+fit axis, then a view axis. Y, its unit columns Yh (``_unit_columns``) and the recovery anchors
+W_m = F_m (X^m / nx^m) are (B, V, d, n) whatever the D_m; view m's data X^m (B, D_m, n) is read with its column
+norms nx, never held as a unit-column copy; each head returns B losses. Each head runs all its view pairs as one
+batch: the sample head its V anchor views, the recovery head its V(V-1) ordered pairs in d-space, through
+R_m = F_m F_m^T (``_recovery_maps``), the feature head the V candidate views of every row of one Gram block.
+``ROWS`` anchor rows are shared over a batch's fits and pairs: one ROWS x kn logit block is alive. A large block
+(``SPLIT_FROM``) runs one anchor view at a time, and only the recovery head's views go to other threads, beside
+the sample head (``_recovery_head``), through ``_fork``, the one fork-join of the library, which
+``evaluate.benchmark`` also uses for its batches. A batch holds at most ``_batch_limit`` fits, so that each fit
+runs in one row block, as it does alone, and gets its result alone. Every expectation is an arithmetic mean over
+the anchor index and a plain sum over view pairs, so loss magnitudes do not grow with n. Accumulation is float64
+with a fixed left-to-right ordering for reproducibility.
 """
 
 from __future__ import annotations
@@ -328,23 +326,59 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
     return terms, E, 1.0 / rs
 
 
-def _leading_rows(buf: np.ndarray, m: int) -> np.ndarray:
-    """A contiguous block of m anchor rows (axis -2) in the logit buffer ``buf``: buf itself for all of its rows."""
-    *lead, rows, kn = buf.shape
-    return buf if m == rows else buf.reshape(-1)[:math.prod(lead) * m * kn].reshape(*lead, m, kn)
+def _view_logits(A, C, sigma, out):
+    """The sample head's block: a 2-D ``cosine_logits`` call per fit and anchor view of A (B, V, d, c), into out."""
+    for p in product(range(A.shape[0]), range(A.shape[1])):
+        cosine_logits(A[p], C[p], sigma, out=out[p])
+    return out
+
+
+def _contrast(A, C, dC, dA, sigma, buf, scales, fill=None, each=None):
+    """The row losses' terms (``_summed``) of each block of the anchors A (..., d, n) against the candidates C (...,
+    d, kn) over their broadcast batch axes, anchor i's positives being C's columns b n + i for b < k = kn / n: the one
+    row-block loop of the sample and recovery heads. A block of ``buf``'s rows (axis -2) of every batch entry holds its
+    logits (A / sigma)^T C, or fill(rows of A, C, sigma, block), in ``buf``. With a dC and (s_A, s_C) = ``scales``,
+    the candidates' gradient s_C (A / rs) E is written to dC, summed one batch entry at a time after the first block
+    so that no second dC-sized array is alive, and the anchors' gradient s_A C E^T / rs, if asked, by rows into dA
+    and to each(columns, block)."""
+    n = A.shape[-1]
+    k, rows, terms = C.shape[-1] // n, buf.shape[-2], []
+    for r0 in range(0, n, rows):
+        cols = slice(r0, r0 + rows)
+        a, m = A[..., cols], min(rows, n - r0)
+        S = buf if m == rows else buf.reshape(-1)[:buf.size // rows * m].reshape(*buf.shape[:-2], m, -1)
+        S = fill(a, C, sigma, S) if fill else np.matmul((a / sigma).swapaxes(-1, -2), C, out=S)
+        block, E, inv = _xent(S, sigma, k, dC is not None, r0)
+        terms.append(block)
+        if dC is None:
+            continue
+        inv = inv[..., None, :]
+        scaled = inv if scales[1] == 1.0 else inv * scales[1]
+        part = a * scaled
+        if r0 == 0:
+            np.matmul(part, E, out=dC)
+        else:
+            for p in product(*map(range, E.shape[:-2])):
+                dC[p] += part[p] @ E[p]
+        if dA is not None or each:
+            block = np.matmul(C, E.swapaxes(-1, -2), out=None if dA is None else dA[..., cols])
+            block *= scaled if scales[0] == scales[1] else scales[0] * inv
+            if each:
+                each(cols, block)
+    return terms
 
 
 def _summed(groups: list[list[tuple]], B: int) -> np.ndarray:
     """Each fit's loss (B,) from the row losses' terms of every group's blocks (``_xent``): a row's first term less
     its second, if any. A block's groups are joined along the view axis first, so each fit's sum runs in the order
     of the whole block's."""
-    total = 0.0
+    total = None
     for parts in zip(*groups):
         terms = parts[0] if len(parts) == 1 else [np.concatenate(t, axis=1) for t in zip(*parts)]
         loss = np.add.reduce(terms[0].reshape(B, -1), axis=1)
         if len(terms) > 1:
             loss -= np.add.reduce(terms[1].reshape(B, -1), axis=1)
-        total += loss
+        total = loss if total is None else total + loss  # not 0.0 + loss: a pass fewer, the same bits
     return total
 
 
@@ -398,40 +432,22 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
     there are negatives, and same-view pairs never enter. The B fits' V anchor views
-    are one batch: each block holds ROWS // (BV) rows of every anchor view, B x V x c x
-    (V-1)n logits, or from ``SPLIT_FROM`` logits one anchor view's, filled on the calling thread
-    by one 2-D ``cosine_logits`` call per fit and anchor view; 1/(n sigma) is applied to the
-    small factors, never to the block. The candidates' gradients are scattered back onto their
-    views, and each view's gradient is pulled back through its norm once.
+    are one batch of ``_contrast``, ROWS // (BV) rows of every anchor view a block, or
+    from ``SPLIT_FROM`` logits one anchor view's, filled on the calling thread by one 2-D
+    ``cosine_logits`` call per fit and anchor view; both gradients carry 1/(n sigma). The
+    candidates' gradients are scattered back onto their views, and each view's gradient
+    is pulled back through its norm once.
     """
     B, V, d, n = Yh.shape
     C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
     c = max(1, ROWS // (B * V))
     scale = 1.0 / (n * sigma)
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
-    groups, terms = [(Yh, C, dY, dC)], []
+    groups = [(Yh, C, dC, dY)]
     if B * V * min(c, n) * C.shape[3] >= SPLIT_FROM:
-        groups = _by_anchor_view(V, Yh, C, dY, dC)
+        groups = _by_anchor_view(V, Yh, C, dC, dY)
     buf = np.empty((B, V // len(groups), min(c, n), C.shape[3]))  # one group's block, for each group in turn
-    for A, Ca, dYa, dCa in groups:
-        terms.append([])
-        for r0 in range(0, n, c):
-            a = A[..., r0:r0 + c]
-            S = _leading_rows(buf, a.shape[3])
-            for p in product(range(B), range(A.shape[1])):
-                cosine_logits(a[p], Ca[p], sigma, out=S[p])
-            part, E, inv = _xent(S, sigma, V - 1, grad, r0)
-            terms[-1].append(part)
-            if grad:  # this block's rows of dY and its share of the candidates' gradient dC
-                inv = inv[..., None, :] * scale
-                rows = dYa[..., r0:r0 + c]
-                np.matmul(Ca, E.swapaxes(2, 3), out=rows)
-                rows *= inv
-                if r0 == 0:
-                    np.matmul(a * inv, E, out=dCa)
-                else:
-                    dCa += (a * inv) @ E
-    total = _summed(terms, B)
+    total = _summed([_contrast(*group, sigma, buf, (scale, scale), _view_logits) for group in groups], B)
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -474,36 +490,23 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     return _summed([blocks], B) / d, dY
 
 
-def _recovery_blocks(groups, sigma, c, rows, want_dF, buf):
-    """The recovery head's blocks of ``rows`` rows of each group's anchors W (B, V', d, n) against its pairs' U
-    (B, V', V-1, d, n), a group's in order, their logits in ``buf``, shaped as a first block: (each group's blocks' row
-    losses' terms, each anchor view's ambient product for dF, through its data X and norms nx). With W E given, it
-    is written there, and with ``want_dF`` the products of c U E^T / rs are formed."""
+def _ambient(X, nx, dF, cols, UE):
+    """Each anchor view m's share of dF from a block's c U E^T / rs (B, V', V-1, d, c): summed over m's pairs, times
+    the block's columns of X^m / nx^m, formed for this one product, added onto dF[m]."""
+    for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
+        part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
+        dF[m] = part if cols.start == 0 else dF[m] + part
+
+
+def _recovery_blocks(groups, sigma, c, want_dF, buf):
+    """Each group's contrast (``_contrast``) of its anchors W (B, V', d, n) against its pairs' U (B, V', V-1, d, n),
+    in order, their logits in ``buf``: (each group's blocks' row losses' terms, each anchor view's ambient product
+    for dF through its data X and norms nx, with ``want_dF``). With W E given, it is written there."""
     out, products = [], []
     for X, nx, W, U, WE in groups:
-        B, V, k, d, n = U.shape
-        blocks, dF = [], [None] * V
-        for r0 in range(0, n, rows):
-            cols, Wr = slice(r0, r0 + rows), W[:, :, None, :, r0:r0 + rows]
-            S = np.matmul((Wr / sigma).swapaxes(3, 4), U, out=_leading_rows(buf, Wr.shape[4]))
-            terms, E, inv = _xent(S, sigma, 1, WE is not None, r0)
-            blocks.append(terms)
-            if WE is None:
-                continue
-            inv = inv[..., None, :]
-            part = Wr * inv
-            if r0 == 0:
-                np.matmul(part, E, out=WE)
-            else:  # one pair at a time, so that no second B x V(V-1) x d x n array is alive
-                for p in product(range(B), range(V), range(k)):
-                    WE[p] += part[p] @ E[p]
-            if want_dF:  # view m's share of every fit, through this block's columns of Xh, formed for its one product
-                UE = U @ E.swapaxes(3, 4)
-                UE *= c * inv
-                for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
-                    part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
-                    dF[m] = part if r0 == 0 else dF[m] + part
-        out.append(blocks)
+        dF = [None] * W.shape[1]
+        each = partial(_ambient, X, nx, dF) if want_dF else None
+        out.append(_contrast(W[:, :, None], U, WE, None, sigma, buf, (c, 1.0), each=each))
         products += dF
     return out, products
 
@@ -512,19 +515,15 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None), followed
     by the items of the tuple that beside() returns, if given.
 
-    Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the
-    columns of F_m^T Y^v, view v's embeddings mapped back into view m's ambient space.
-    All V(V-1) ordered pairs (m, v) of the B fits are one batch, run in d-space: with Xh =
-    X / nx, yh = Y^v / ny, (W, R) = ``maps`` (W = F_m Xh, R = F_m F_m^T), nz = ||F_m^T yh|| =
-    sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
-    U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r =
-    colsum(U * W E) (0 where nz is floored): dY = (W E - R U r) c / (nz ny) and
-    dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v. Blocks of ROWS // (BV(V-1))
-    rows of every pair's S run at once and sum their shares of W E and of dF's
-    one ambient product per view, so one ROWS x n block is alive, never S; beside
-    it U and W E are BV(V-1) d n floats each, so memory also grows with V^2 d. At
-    d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P,
-    as the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
+    Anchor x_i^m / nx_i^m (fixed data X over its column norms nx) is contrasted with the columns of F_m^T Y^v,
+    view v's embeddings mapped back into view m's ambient space. All V(V-1) ordered pairs (m, v) of the B fits are
+    one batch of ``_contrast``, in d-space: with Xh = X / nx, yh = Y^v / ny, (W, R) = ``maps`` (W = F_m Xh,
+    R = F_m F_m^T), nz = ||F_m^T yh|| = sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
+    U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r = colsum(U * W E) (0 where nz is
+    floored): dY = (W E - R U r) c / (nz ny) and dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v, its first
+    term a block at a time (``_ambient``). Beside the ROWS x n block, U and W E hold BV(V-1) d n floats each, so
+    memory also grows with V^2 d. At d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P, as
+    the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
 
     From ``SPLIT_FROM`` logits the blocks run one anchor view at a time; with several threads, runs of consecutive
     views are forked (``_fork``), one per thread: all beside beside(), which runs here, else one of them here. Each
@@ -544,10 +543,10 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     shape = (B, V // len(groups), V - 1, rows, n)  # a group's first block: each run's buffer, made here
     if len(groups) == 1 or (threads := _threads()) == 1:
         side = beside() if beside else ()
-        blocks, dF = _recovery_blocks(groups, sigma, c, rows, want_dF, np.empty(shape))
+        blocks, dF = _recovery_blocks(groups, sigma, c, want_dF, np.empty(shape))
     else:
         k = min(V, threads - (beside is not None))
-        runs = [partial(_recovery_blocks, groups[V * i // k:V * (i + 1) // k], sigma, c, rows, want_dF, np.empty(shape))
+        runs = [partial(_recovery_blocks, groups[V * i // k:V * (i + 1) // k], sigma, c, want_dF, np.empty(shape))
                 for i in range(k)]
         side, *done = _fork([beside, *runs]) if beside else ((), *_fork(runs))
         del runs  # and with them their buffers, before dY and dF are formed

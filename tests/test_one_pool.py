@@ -5,6 +5,9 @@ anywhere else could; the guard rules that out by construction, as ``test_one_sof
 """
 
 import ast
+import contextlib
+import faulthandler
+import os
 import threading
 import time
 from functools import partial
@@ -70,19 +73,32 @@ def _tree(depth: int, path: tuple, leaves: list):
     return mvcl.loss._fork([partial(_tree, depth - 1, path + (i,), leaves) for i in range(3)])
 
 
-def test_forks_two_levels_deep_on_a_one_worker_pool_finish_and_join_in_job_order(monkeypatch):
+@contextlib.contextmanager
+def _deadline(seconds: float, capfd):
+    """End the test run with exit code 1 and every thread's stack on the terminal's stderr if the body takes longer
+    than ``seconds``. A fork that waits on a job that no thread will run leaves a pool thread waiting too, and the
+    interpreter joins the pool's threads at exit: a failed assertion alone would leave the run hanging."""
+    with capfd.disabled():
+        stderr = os.dup(2)
+    faulthandler.dump_traceback_later(seconds, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
+
+
+def test_forks_two_levels_deep_on_a_one_worker_pool_finish_and_join_in_job_order(monkeypatch, capfd):
     monkeypatch.setenv("MVCL_THREADS", "2")  # the pool of all threads but the caller's: one worker
-    results, leaves = [], []
-    watchdog = threading.Thread(target=lambda: results.append(_tree(2, (), leaves)), daemon=True)
-    watchdog.start()
-    watchdog.join(30)
-    assert not watchdog.is_alive(), "a fork waits on a job that no thread will run"
-    assert results == [[[(i, j) for j in range(3)] for i in range(3)]]
+    leaves = []
+    with _deadline(30, capfd):
+        results = _tree(2, (), leaves)
+    assert results == [[(i, j) for j in range(3)] for i in range(3)]
     paths = [path for path, _ in leaves]
     assert paths != sorted(paths)  # the first job's leaves finish after the second's: the join orders the results
     # jobs 0 and 2 run on the calling thread, job 1 on the one pool thread, each one's own fork in order
     threads = [{thread for path, thread in leaves if path[0] == i} for i in range(3)]
-    assert threads[0] == threads[2] == {watchdog.ident} and len(threads[1]) == 1 and threads[1] != threads[0]
+    assert threads[0] == threads[2] == {threading.get_ident()} and len(threads[1]) == 1 and threads[1] != threads[0]
     assert [[path for path in paths if path[0] == i] for i in range(3)] == [[(i, j) for j in range(3)] for i in range(3)]
 
 

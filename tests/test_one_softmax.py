@@ -36,3 +36,29 @@ def test_guard_flags_a_second_softmax():
 
 def test_only_xent_exponentiates_or_reads_the_softmax_layout():
     assert _softmax_readers(LOSS.read_text()) == {}
+
+
+# The row-block loops around _xent: the sample and recovery heads share _contrast's, and the feature head, one Gram
+# block, keeps its own.
+ROW_BLOCK_LOOPS = {"_contrast", "_feature_head"}
+
+
+def _xent_readers(source: str) -> set[str]:
+    """The top-level definitions of ``source`` other than ``_xent`` that read the name ``_xent``."""
+    return {top.name for top in ast.parse(source).body if getattr(top, "name", "_xent") != "_xent"
+            for node in ast.walk(top) if isinstance(node, ast.Name) and node.id == "_xent"}
+
+
+def test_guard_flags_a_head_with_a_row_block_loop_of_its_own():
+    # each head with its own loop around _xent, as before _contrast
+    source = (
+        "def _xent(S):\n    return S\n"
+        "def _sample_head(A, C):\n    return [_xent(A[:, r:r + 8].T @ C) for r in range(0, 64, 8)]\n"
+        "def _feature_head(G):\n    return _xent(G)\n"
+        "def _recovery_blocks(W, U):\n    for r in range(0, 64, 8):\n        _xent(W[:, r:r + 8].T @ U)\n"
+    )
+    assert _xent_readers(source) - ROW_BLOCK_LOOPS == {"_sample_head", "_recovery_blocks"}
+
+
+def test_only_the_blocked_contrast_and_the_feature_head_call_xent():
+    assert _xent_readers(LOSS.read_text()) == ROW_BLOCK_LOOPS

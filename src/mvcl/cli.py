@@ -63,13 +63,15 @@ def _comma_list(text: str, flag: str, kind=str) -> tuple:
         raise ValueError(f"{flag} must be a comma list of integers, got {text!r}") from None
 
 
-def _out_path(path: str | Path, flag: str) -> Path:
-    """An output file's path, checked before any work, so that a bad one fails before the fits, not after them."""
+def _out_path(path: str | Path, flag: str, *taken) -> Path:
+    """An output file's path that is none of the paths ``taken``, checked before any work, not after the fits."""
     out = Path(path)
     if out.is_dir():
         raise IsADirectoryError(f"{flag} {out} is a directory")
     if not out.parent.is_dir():
         raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
+    if out.resolve() in {Path(p).resolve() for p in taken if p is not None}:
+        raise ValueError(f"{flag} {out} would overwrite an input or another output")
     return out
 
 
@@ -113,9 +115,10 @@ def _train_config(args) -> tuple[TrainConfig, dict]:
 
 
 def _cmd_train(args) -> int:
-    out = _out_path(args.out, "--out")
-    report_path = _out_path(args.report or out.with_suffix(".report.json"), "--report")
-    ds = load_views(_comma_list(args.views, "--views"), header=args.header)
+    inputs = (*_comma_list(args.views, "--views"), args.config)
+    out = _out_path(args.out, "--out", *inputs)
+    report_path = _out_path(args.report or out.with_suffix(".report.json"), "--report", out, *inputs)
+    ds = load_views(inputs[:-1], header=args.header)
     cfg, pre = _train_config(args)
     ds_p, stats = preprocess(ds, **pre)
     P, F, report = train(ds_p, cfg)
@@ -196,11 +199,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_benchmark(args) -> int:
     if args.train_seed < 0:  # the split seed --seed may be negative, so name the flag
         raise ValueError(f"--train-seed must be >= 0, got {args.train_seed}")
-    out = _out_path(args.out, "--out")
-    twin = _out_path(out.with_suffix(".json"), "--out")
     data = Path(args.data)
-    views = sorted(data.glob("view*.csv"))
-    labels = data / "labels.csv"
+    views, labels = sorted(data.glob("view*.csv")), data / "labels.csv"
+    out = _out_path(args.out, "--out", *views, labels)
+    twin = _out_path(out.with_suffix(".json"), "--out", out, *views, labels)
     if not views or not labels.exists():
         raise ValueError(f"{data}: expected view*.csv files and labels.csv")
     ds = load_views(views, labels, header=args.header)

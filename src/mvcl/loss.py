@@ -12,11 +12,11 @@ similarities:
   recovery level  anchors are original samples, candidates are cross-view
                   embeddings mapped back to the anchor view's ambient space.
 
-All three heads share one softmax cross-entropy, ``_xent``, giving the loss
-and the unnormalised gradient from one pass; it alone holds the exponential,
-the overflow rule (``SHIFT_ABOVE``) and the positives' layout. The sample and
-recovery heads also share one blocked contrast, ``_contrast``: its row-block loop
-and both gradients' products. The feature head, one Gram block, keeps its own.
+All three heads share one softmax cross-entropy, ``_xent``, giving one loss per anchor row and the unnormalised
+gradient from one pass; it alone holds the exponential, the overflow rule (``SHIFT_ABOVE``) and the positives'
+layout. The sample and recovery heads also share one blocked contrast, ``_contrast`` (its row-block loop and both
+gradients' products), and one layout rule, ``_groups`` (rows per block and anchor-view groups). The feature head,
+one Gram block, keeps its own.
 
 The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters: every array carries a leading
 fit axis, then a view axis. Y, its unit columns Yh (``_unit_columns``) and the recovery anchors
@@ -25,8 +25,8 @@ norms nx, never held as a unit-column copy; each head returns B losses. Each hea
 batch: the sample head its V anchor views, the recovery head its V(V-1) ordered pairs in d-space, through
 R_m = F_m F_m^T (``_recovery_maps``), the feature head the V candidate views of every row of one Gram block.
 ``ROWS`` anchor rows are shared over a batch's fits and pairs: one ROWS x kn logit block is alive. A large block
-(``SPLIT_FROM``) runs one anchor view at a time, and only the recovery head's views go to other threads, beside
-the sample head (``_recovery_head``), through ``_fork``, the one fork-join of the library, which
+(``SPLIT_FROM``) runs one anchor view at a time (``_groups``), and only the recovery head's views go to other
+threads, beside the sample head (``_recovery_head``), through ``_fork``, the one fork-join of the library, which
 ``evaluate.benchmark`` also uses for its batches. A batch holds at most ``_batch_limit`` fits, so that each fit
 runs in one row block, as it does alone, and gets its result alone. Every expectation is an arithmetic mean over
 the anchor index and a plain sum over view pairs, so loss magnitudes do not grow with n. Accumulation is float64
@@ -171,7 +171,7 @@ def _batch_limit(V: int, n: int, d: int) -> int:
 SHIFT_ABOVE = 340.0
 
 # A head whose all-view logit block holds at least this many entries runs its row blocks one anchor view at a time
-# (``_by_anchor_view``), and the recovery head forks its views (``_fork``); a smaller block runs whole on the calling
+# (``_groups``), and the recovery head forks its views (``_fork``); a smaller block runs whole on the calling
 # thread. ``_fork`` runs jobs of fewer logits in order (``evaluate.benchmark``'s batches, by a pass's logits). Measured
 # on 2 cores, V = 2: a split train took 1.23x (d = 5) and 0.94x (d = 20) the time of a whole one at n = 600, 153,600
 # logits a block, and 0.88x and 0.78x at n = 1000, 256,000 logits.
@@ -217,12 +217,6 @@ def _fork(jobs: list, logits: float = math.inf) -> list:
     if failed:
         raise min(failed)[1]  # the indices differ, and no job before this one raised
     return results
-
-
-def _by_anchor_view(V: int, *arrays) -> list[list]:
-    """One group per anchor view a: arrays (B, V, ...) sliced to [:, a:a+1], lists of V to [a:a+1], None kept."""
-    return [[x if x is None else x[a:a + 1] if x.__class__ is list else x[:, a:a + 1] for x in arrays]
-            for a in range(V)]
 
 
 def _threads() -> int:
@@ -298,9 +292,9 @@ def _through_norm(G: np.ndarray, Xh: np.ndarray, nx: np.ndarray, scale: float) -
 def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
     """Softmax cross-entropy along the last axis of S (B, V, ..., c, kn), a block of anchor rows r0.. of B fits and
     their views, row i's positives at (..., i, b*n + (r0 + i) % n), n = kn // k: the one softmax of every head.
-    Returns (the row losses' terms (``_summed``), E = rs * dloss/dS in place of S, 1/rs), or None for both without
-    ``grad``: callers scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row, and a row
-    whose one finite entry is its positive gives a loss and gradient of exactly 0."""
+    Returns (the row losses, E = rs * dloss/dS in place of S, 1/rs), or None for both without ``grad``: callers
+    scale small factors by 1/rs, not E by rs. An entry of -inf drops out of its row, and a row whose one finite
+    entry is its positive gives a loss and gradient of exactly 0."""
     pidx = _positive_index(S.shape, k, r0)
     if 1.0 / sigma > SHIFT_ABOVE:
         pos = S.take(pidx)
@@ -310,20 +304,33 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
         E = np.exp(S, out=S)
         rs = np.add.reduce(E, axis=-1)
         # exp of a positive far below its row maximum underflows: stay in logs.
-        terms = np.log(rs), np.logaddexp.reduce(pos, axis=-1)
-        pos, scale = np.exp(pos - terms[1][..., None]), rs
+        lse = np.logaddexp.reduce(pos, axis=-1)
+        pos, scale, losses = np.exp(pos - lse[..., None]), rs, np.log(rs) - lse
     else:
         E = np.exp(S, out=S)
         rs = np.add.reduce(E, axis=-1)
         pos = E.take(pidx)
         # From E itself, so that a row whose only entry is its positive gives exactly 0.
         scale = rs / np.add.reduce(pos, axis=-1)
-        terms = (np.log(scale),)
+        losses = np.log(scale)
     if not grad:
-        return terms, None, None
+        return losses, None, None
     # rs * (softmax over the row - softmax over the row's positives)
     E.ravel()[pidx] -= pos * scale[..., None]
-    return terms, E, 1.0 / rs
+    return losses, E, 1.0 / rs
+
+
+def _groups(lead: tuple, n: int, kn: int, *arrays) -> tuple[list, tuple]:
+    """A blocked head's layout, for anchors of n rows against kn candidates in every batch entry of ``lead`` (B, V,
+    ...): (groups of ``arrays``, one group's logit block shape). ``ROWS`` anchor rows are shared over the entries. An
+    all-view block of ``SPLIT_FROM`` logits or more makes one group per anchor view a: arrays (B, V, ...) sliced to
+    [:, a:a+1], lists of V to [a:a+1], None kept. Else the one group is ``arrays`` whole."""
+    entries = math.prod(lead)
+    rows = min(n, max(1, ROWS // entries))
+    if entries * rows * kn < SPLIT_FROM:
+        return [arrays], (*lead, rows, kn)
+    return ([[x if x is None else x[a:a + 1] if x.__class__ is list else x[:, a:a + 1] for x in arrays]
+             for a in range(lead[1])], (lead[0], 1, *lead[2:], rows, kn))
 
 
 def _view_logits(A, C, sigma, out):
@@ -334,22 +341,22 @@ def _view_logits(A, C, sigma, out):
 
 
 def _contrast(A, C, dC, dA, sigma, buf, scales, fill=None, each=None):
-    """The row losses' terms (``_summed``) of each block of the anchors A (..., d, n) against the candidates C (...,
-    d, kn) over their broadcast batch axes, anchor i's positives being C's columns b n + i for b < k = kn / n: the one
+    """The row losses (``_xent``) of each block of the anchors A (..., d, n) against the candidates C (..., d, kn)
+    over their broadcast batch axes, anchor i's positives being C's columns b n + i for b < k = kn / n: the one
     row-block loop of the sample and recovery heads. A block of ``buf``'s rows (axis -2) of every batch entry holds its
     logits (A / sigma)^T C, or fill(rows of A, C, sigma, block), in ``buf``. With a dC and (s_A, s_C) = ``scales``,
     the candidates' gradient s_C (A / rs) E is written to dC, summed one batch entry at a time after the first block
     so that no second dC-sized array is alive, and the anchors' gradient s_A C E^T / rs, if asked, by rows into dA
     and to each(columns, block)."""
     n = A.shape[-1]
-    k, rows, terms = C.shape[-1] // n, buf.shape[-2], []
+    k, rows, losses = C.shape[-1] // n, buf.shape[-2], []
     for r0 in range(0, n, rows):
         cols = slice(r0, r0 + rows)
         a, m = A[..., cols], min(rows, n - r0)
         S = buf if m == rows else buf.reshape(-1)[:buf.size // rows * m].reshape(*buf.shape[:-2], m, -1)
         S = fill(a, C, sigma, S) if fill else np.matmul((a / sigma).swapaxes(-1, -2), C, out=S)
         block, E, inv = _xent(S, sigma, k, dC is not None, r0)
-        terms.append(block)
+        losses.append(block)
         if dC is None:
             continue
         inv = inv[..., None, :]
@@ -365,19 +372,16 @@ def _contrast(A, C, dC, dA, sigma, buf, scales, fill=None, each=None):
             block *= scaled if scales[0] == scales[1] else scales[0] * inv
             if each:
                 each(cols, block)
-    return terms
+    return losses
 
 
-def _summed(groups: list[list[tuple]], B: int) -> np.ndarray:
-    """Each fit's loss (B,) from the row losses' terms of every group's blocks (``_xent``): a row's first term less
-    its second, if any. A block's groups are joined along the view axis first, so each fit's sum runs in the order
-    of the whole block's."""
+def _summed(groups: list[list[np.ndarray]], B: int) -> np.ndarray:
+    """Each fit's loss (B,) from the row losses of every group's blocks (``_xent``). A block's groups are joined
+    along the view axis first, so each fit's sum runs in the order of the whole block's."""
     total = None
     for parts in zip(*groups):
-        terms = parts[0] if len(parts) == 1 else [np.concatenate(t, axis=1) for t in zip(*parts)]
-        loss = np.add.reduce(terms[0].reshape(B, -1), axis=1)
-        if len(terms) > 1:
-            loss -= np.add.reduce(terms[1].reshape(B, -1), axis=1)
+        losses = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        loss = np.add.reduce(losses.reshape(B, -1), axis=1)
         total = loss if total is None else total + loss  # not 0.0 + loss: a pass fewer, the same bits
     return total
 
@@ -432,21 +436,18 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     Anchor view a contrasts its samples against the other views placed side
     by side: sample i in every other view is a positive, all other samples
     there are negatives, and same-view pairs never enter. The B fits' V anchor views
-    are one batch of ``_contrast``, ROWS // (BV) rows of every anchor view a block, or
-    from ``SPLIT_FROM`` logits one anchor view's, filled on the calling thread by one 2-D
+    are one batch of ``_contrast``, laid out by ``_groups`` (ROWS // (BV) rows of every
+    anchor view a block, or one anchor view's), filled on the calling thread by one 2-D
     ``cosine_logits`` call per fit and anchor view; both gradients carry 1/(n sigma). The
     candidates' gradients are scattered back onto their views, and each view's gradient
     is pulled back through its norm once.
     """
     B, V, d, n = Yh.shape
     C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
-    c = max(1, ROWS // (B * V))
     scale = 1.0 / (n * sigma)
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
-    groups = [(Yh, C, dC, dY)]
-    if B * V * min(c, n) * C.shape[3] >= SPLIT_FROM:
-        groups = _by_anchor_view(V, Yh, C, dC, dY)
-    buf = np.empty((B, V // len(groups), min(c, n), C.shape[3]))  # one group's block, for each group in turn
+    groups, shape = _groups((B, V), n, C.shape[3], Yh, C, dC, dY)
+    buf = np.empty(shape)  # one group's block, for each group in turn
     total = _summed([_contrast(*group, sigma, buf, (scale, scale), _view_logits) for group in groups], B)
     if not grad:
         return total / n, None
@@ -478,8 +479,8 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
         if not include_self_view:
             (own, k), i = divmod(np.arange(r0, r0 + S.shape[2]), d), np.arange(S.shape[2])
             S[:, own, i] = np.where(np.arange(d) == k[:, None], S[:, own, i], -np.inf)
-        terms, E, inv = _xent(S, sigma, 1, grad, r0)
-        blocks.append(terms)
+        losses, E, inv = _xent(S, sigma, 1, grad, r0)
+        blocks.append(losses)
         if grad:
             E *= inv[..., None]
             E = E.swapaxes(1, 2).reshape(B, -1, V * d)  # dG, back in the Gram block's layout
@@ -500,7 +501,7 @@ def _ambient(X, nx, dF, cols, UE):
 
 def _recovery_blocks(groups, sigma, c, want_dF, buf):
     """Each group's contrast (``_contrast``) of its anchors W (B, V', d, n) against its pairs' U (B, V', V-1, d, n),
-    in order, their logits in ``buf``: (each group's blocks' row losses' terms, each anchor view's ambient product
+    in order, their logits in ``buf``: (each group's blocks' row losses, each anchor view's ambient product
     for dF through its data X and norms nx, with ``want_dF``). With W E given, it is written there."""
     out, products = [], []
     for X, nx, W, U, WE in groups:
@@ -535,12 +536,8 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=3), 0.0)), NORM_FLOOR)
     U /= nz[..., None, :]
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
-    rows = min(n, max(1, ROWS // (B * V * (V - 1))))
     WE = np.empty(U.shape) if grad else None
-    groups = [(X, nx, W, U, WE)]
-    if B * V * (V - 1) * rows * n >= SPLIT_FROM:
-        groups = _by_anchor_view(V, X, nx, W, U, WE)
-    shape = (B, V // len(groups), V - 1, rows, n)  # a group's first block: each run's buffer, made here
+    groups, shape = _groups((B, V, V - 1), n, n, X, nx, W, U, WE)  # shape: each run's buffer, made here
     if len(groups) == 1 or (threads := _threads()) == 1:
         side = beside() if beside else ()
         blocks, dF = _recovery_blocks(groups, sigma, c, want_dF, np.empty(shape))

@@ -614,6 +614,48 @@ def test_train_checks_out_before_the_fit(synth_dir, tmp_path, capsys, monkeypatc
     assert err.count("\n") == 1 and flag in err and fits == [] and not model.exists()
 
 
+# An output at the path of an input or of another output, and the flag that names it. Each would destroy a file:
+# the CSV report would be replaced by its JSON twin, the model by the report, a view by the model, the labels by
+# the report (and the next benchmark on the directory would fail).
+COLLISIONS = {
+    "benchmark --out at its JSON twin": ("benchmark", "r.json", None, "--out"),
+    "train --report at --out": ("train", "m.json", "m.json", "--report"),
+    "train --out at a view": ("train", "data/view1.csv", None, "--out"),
+    "benchmark --out at the labels": ("benchmark", "data/labels.csv", None, "--out"),
+    "train --report at --config": ("train", "m.json", "config.json", "--report"),
+    "train --out at a link to a view": ("train", "link.csv", None, "--out"),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLISIONS))
+def test_an_output_that_would_overwrite_an_input_or_output_exits_2_before_any_fit(
+        synth_dir, tmp_path, capsys, monkeypatch, case):
+    command, out, report, flag = COLLISIONS[case]
+    fits, train = [], mvcl.cli.train
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mvcl.cli, "train", counted)
+    monkeypatch.setattr(mvcl.evaluate, "train", counted)
+    (tmp_path / "m.json").write_text("a model written earlier\n")
+    (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, "hyper": {"d": 2}}))
+    (tmp_path / "link.csv").symlink_to(synth_dir / "view1.csv")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    if command == "train":
+        argv = ["train", "--views", f"{synth_dir}/view1.csv,{synth_dir}/view2.csv", "--config",
+                str(tmp_path / "config.json"), "--max-iters", "2", "--out", str(tmp_path / out)]
+        argv += ["--report", str(tmp_path / report)] if report else []
+    else:
+        argv = ["benchmark", "--data", str(synth_dir), "--M", "4", "--repeats", "1", "--d-sweep", "3",
+                "--max-iters", "2", "--out", str(tmp_path / out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and "overwrite" in err and fits == []
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_benchmark_pure_noise_is_at_chance(tmp_path):
     # no shared, no specific, no redundant signal: accuracy should hover
     # around 1/classes regardless of training

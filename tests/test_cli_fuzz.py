@@ -7,7 +7,10 @@ cell or row dropped, the text truncated), and runs one subcommand in-process
 through ``mvcl.cli.main`` with at most a few iterations; ``synth`` and
 ``gradcheck``, which read no file, get one flag's valid value replaced instead.
 Whatever the input, the exit code is a documented one, no exception escapes
-and stderr holds at most one line.
+and stderr holds at most one line. Other examples draw ``--out`` or
+``--report`` from the command's own input files and other outputs, spelled
+plainly, through '..' or through a symlink: each must exit 2 in one line that
+names the flag, and leave every file as it was.
 """
 
 import contextlib
@@ -177,3 +180,48 @@ def test_cli_survives_mutated_input(seeds, tmp_path_factory, command, data):
     rc, err = _run(*_argv(command, root, data.draw))
     assert rc in EXIT_CODES
     assert err.count("\n") <= 1, err
+
+
+# The output flags of the commands that write files. train writes --out and its report (--report, else --out with
+# the suffix .report.json); benchmark writes --out and its JSON twin (--out with the suffix .json).
+WRITES = {"train": ["--out", "--report"], "benchmark": ["--out"]}
+
+
+def _spelled(draw, root, name: str) -> str:
+    """A path to root/name as a user might spell it: plain, through a '..' or as a symlink to it."""
+    path = root / name
+    how = draw(st.sampled_from(["plain", "dotdot", "link"]))
+    if how == "dotdot":
+        return f"{path.parent}/../{path.parent.name}/{path.name}"
+    if how == "link":
+        link = root / f"link-{path.name}"
+        if not link.is_symlink():
+            link.symlink_to(path)
+        return str(link)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_an_output_drawn_from_the_inputs_or_outputs_exits_2_and_changes_no_file(seeds, tmp_path_factory, command,
+                                                                                 data):
+    root = tmp_path_factory.mktemp(f"collide-{command}")
+    _write(root, seeds)
+    argv = _argv(command, root, data.draw)
+    # --out at an input, or (train) --report at an input or at --out, or (benchmark) --out at its own JSON twin
+    taken = list(READS[command])
+    flag = data.draw(st.sampled_from(WRITES[command]))
+    if command == "benchmark":
+        taken += ["report.json", "data/r.json"]
+    elif flag == "--report":
+        taken += [argv[argv.index("--out") + 1].name]
+    name = data.draw(st.sampled_from(taken))
+    if flag == "--report":
+        argv += ["--report", _spelled(data.draw, root, name)]
+    else:
+        argv[-1] = _spelled(data.draw, root, name)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    rc, err = _run(*argv)
+    assert rc == 2 and err.count("\n") == 1 and flag in err and "overwrite" in err, (argv, err)
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before

@@ -64,13 +64,15 @@ def _comma_list(text: str, flag: str, kind=str) -> tuple:
 
 
 def _out_path(path: str | Path, flag: str, *taken) -> Path:
-    """An output file's path that is none of the paths ``taken``, checked before any work, not after the fits."""
+    """An output's path that is none of the paths ``taken``, resolved or as a file (a hard link), before any work."""
     out = Path(path)
     if out.is_dir():
         raise IsADirectoryError(f"{flag} {out} is a directory")
     if not out.parent.is_dir():
         raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
-    if out.resolve() in {Path(p).resolve() for p in taken if p is not None}:
+    taken = [Path(p) for p in taken if p is not None]
+    linked = out.exists() and any(p.exists() and out.samefile(p) for p in taken)
+    if linked or out.resolve() in {p.resolve() for p in taken}:
         raise ValueError(f"{flag} {out} would overwrite an input or another output")
     return out
 

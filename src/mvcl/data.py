@@ -122,13 +122,14 @@ def preprocess(
             stds = tuple(np.maximum(v.std(axis=1), 1e-12) for v in ds.views)
         stats = FeatureStats(center=center, unit_variance=unit_variance, means=means, stds=stds)
     else:
-        if len(stats.means) != ds.V:
-            raise StatsMismatch(f"stats cover {len(stats.means)} views, dataset has {ds.V}")
-        for m, mu in enumerate(stats.means):
-            if mu.shape != (ds.dims[m],):
-                raise StatsMismatch(f"stats for view {m} have shape {mu.shape}, expected ({ds.dims[m]},)")
         if stats.unit_variance and stats.stds is None:
             raise StatsMismatch("stats request unit variance but carry no stds")
+        for what, vectors in (("means", stats.means), ("stds", stats.stds)):
+            if vectors is not None and len(vectors) != ds.V:
+                raise StatsMismatch(f"stats' {what} cover {len(vectors)} views, dataset has {ds.V}")
+            for m, vec in enumerate(vectors or ()):
+                if vec.shape != (ds.dims[m],):
+                    raise StatsMismatch(f"stats' {what} for view {m} have shape {vec.shape}, expected ({ds.dims[m]},)")
 
     out = []
     for m, v in enumerate(ds.views):

@@ -14,9 +14,10 @@ similarities:
 
 All three heads share one softmax cross-entropy, ``_xent``, giving one loss per anchor row and the unnormalised
 gradient from one pass; it alone holds the exponential, the overflow rule (``SHIFT_ABOVE``) and the positives'
-layout. The sample and recovery heads also share one blocked contrast, ``_contrast`` (its row-block loop and both
-gradients' products), and one layout rule, ``_groups`` (rows per block and anchor-view groups). The feature head,
-one Gram block, keeps its own.
+layout. The sample and recovery heads also share one blocked contrast, ``_contrast``, which runs every group of
+their one layout rule, ``_groups`` (rows per block and anchor-view groups), and writes both gradients into arrays:
+the recovery head forms dF from its anchors' gradient in closed form, after the contrast. The feature head, one
+Gram block, keeps its own.
 
 The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters: every array carries a leading
 fit axis, then a view axis. Y, its unit columns Yh (``_unit_columns``) and the recovery anchors
@@ -324,13 +325,13 @@ def _groups(lead: tuple, n: int, kn: int, *arrays) -> tuple[list, tuple]:
     """A blocked head's layout, for anchors of n rows against kn candidates in every batch entry of ``lead`` (B, V,
     ...): (groups of ``arrays``, one group's logit block shape). ``ROWS`` anchor rows are shared over the entries. An
     all-view block of ``SPLIT_FROM`` logits or more makes one group per anchor view a: arrays (B, V, ...) sliced to
-    [:, a:a+1], lists of V to [a:a+1], None kept. Else the one group is ``arrays`` whole."""
+    [:, a:a+1], None kept. Else the one group is ``arrays`` whole."""
     entries = math.prod(lead)
     rows = min(n, max(1, ROWS // entries))
     if entries * rows * kn < SPLIT_FROM:
         return [arrays], (*lead, rows, kn)
-    return ([[x if x is None else x[a:a + 1] if x.__class__ is list else x[:, a:a + 1] for x in arrays]
-             for a in range(lead[1])], (lead[0], 1, *lead[2:], rows, kn))
+    groups = [[x if x is None else x[:, a:a + 1] for x in arrays] for a in range(lead[1])]
+    return groups, (lead[0], 1, *lead[2:], rows, kn)
 
 
 def _view_logits(A, C, sigma, out):
@@ -340,46 +341,47 @@ def _view_logits(A, C, sigma, out):
     return out
 
 
-def _contrast(A, C, dC, dA, sigma, buf, scales, fill=None, each=None):
-    """The row losses (``_xent``) of each block of the anchors A (..., d, n) against the candidates C (..., d, kn)
-    over their broadcast batch axes, anchor i's positives being C's columns b n + i for b < k = kn / n: the one
-    row-block loop of the sample and recovery heads. A block of ``buf``'s rows (axis -2) of every batch entry holds its
-    logits (A / sigma)^T C, or fill(rows of A, C, sigma, block), in ``buf``. With a dC and (s_A, s_C) = ``scales``,
-    the candidates' gradient s_C (A / rs) E is written to dC, summed one batch entry at a time after the first block
-    so that no second dC-sized array is alive, and the anchors' gradient s_A C E^T / rs, if asked, by rows into dA
-    and to each(columns, block)."""
-    n = A.shape[-1]
-    k, rows, losses = C.shape[-1] // n, buf.shape[-2], []
-    for r0 in range(0, n, rows):
-        cols = slice(r0, r0 + rows)
-        a, m = A[..., cols], min(rows, n - r0)
-        S = buf if m == rows else buf.reshape(-1)[:buf.size // rows * m].reshape(*buf.shape[:-2], m, -1)
-        S = fill(a, C, sigma, S) if fill else np.matmul((a / sigma).swapaxes(-1, -2), C, out=S)
-        block, E, inv = _xent(S, sigma, k, dC is not None, r0)
-        losses.append(block)
-        if dC is None:
-            continue
-        inv = inv[..., None, :]
-        scaled = inv if scales[1] == 1.0 else inv * scales[1]
-        part = a * scaled
-        if r0 == 0:
-            np.matmul(part, E, out=dC)
-        else:
-            for p in product(*map(range, E.shape[:-2])):
-                dC[p] += part[p] @ E[p]
-        if dA is not None or each:
-            block = np.matmul(C, E.swapaxes(-1, -2), out=None if dA is None else dA[..., cols])
-            block *= scaled if scales[0] == scales[1] else scales[0] * inv
-            if each:
-                each(cols, block)
-    return losses
+def _contrast(groups, sigma, buf, scales, fill=None):
+    """Each group's row losses (``_xent``), a list of its blocks', for the groups (A, C, dC, dA) of ``_groups``: the
+    anchors A (..., d, n) against the candidates C (..., d, kn) over their broadcast batch axes, anchor i's positives
+    being C's columns b n + i for b < k = kn / n. The one row-block loop of the sample and recovery heads. A block of
+    ``buf``'s rows (axis -2) of every batch entry holds its logits (A / sigma)^T C, or fill(rows of A, C, sigma,
+    block), in ``buf``. With a dC and (s_A, s_C) = ``scales``, the candidates' gradient s_C (A / rs) E is written to
+    dC, summed one batch entry at a time after the first block so that no second dC-sized array is alive, and with a
+    dA the anchors' gradient s_A C E^T / rs, by rows, to dA."""
+    out = []
+    for A, C, dC, dA in groups:
+        n = A.shape[-1]
+        k, rows, losses = C.shape[-1] // n, buf.shape[-2], []
+        for r0 in range(0, n, rows):
+            cols = slice(r0, r0 + rows)
+            a, m = A[..., cols], min(rows, n - r0)
+            S = buf if m == rows else buf.reshape(-1)[:buf.size // rows * m].reshape(*buf.shape[:-2], m, -1)
+            S = fill(a, C, sigma, S) if fill else np.matmul((a / sigma).swapaxes(-1, -2), C, out=S)
+            block, E, inv = _xent(S, sigma, k, dC is not None, r0)
+            losses.append(block)
+            if dC is None:
+                continue
+            inv = inv[..., None, :]
+            scaled = inv if scales[1] == 1.0 else inv * scales[1]
+            part = a * scaled
+            if r0 == 0:
+                np.matmul(part, E, out=dC)
+            else:
+                for p in product(*map(range, E.shape[:-2])):
+                    dC[p] += part[p] @ E[p]
+            if dA is not None:
+                block = np.matmul(C, E.swapaxes(-1, -2), out=dA[..., cols])
+                block *= scaled if scales[0] == scales[1] else scales[0] * inv
+        out.append(losses)
+    return out
 
 
-def _summed(groups: list[list[np.ndarray]], B: int) -> np.ndarray:
-    """Each fit's loss (B,) from the row losses of every group's blocks (``_xent``). A block's groups are joined
-    along the view axis first, so each fit's sum runs in the order of the whole block's."""
+def _summed(blocks: list[list[np.ndarray]], B: int) -> np.ndarray:
+    """Each fit's loss (B,) from the row losses of every group's blocks (``_xent``), a list per group. A block's
+    groups are joined along the view axis first, so each fit's sum runs in the order of the whole block's."""
     total = None
-    for parts in zip(*groups):
+    for parts in zip(*blocks):
         losses = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         loss = np.add.reduce(losses.reshape(B, -1), axis=1)
         total = loss if total is None else total + loss  # not 0.0 + loss: a pass fewer, the same bits
@@ -448,7 +450,7 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
     groups, shape = _groups((B, V), n, C.shape[3], Yh, C, dC, dY)
     buf = np.empty(shape)  # one group's block, for each group in turn
-    total = _summed([_contrast(*group, sigma, buf, (scale, scale), _view_logits) for group in groups], B)
+    total = _summed(_contrast(groups, sigma, buf, (scale, scale), _view_logits), B)
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -491,27 +493,6 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
     return _summed([blocks], B) / d, dY
 
 
-def _ambient(X, nx, dF, cols, UE):
-    """Each anchor view m's share of dF from a block's c U E^T / rs (B, V', V-1, d, c): summed over m's pairs, times
-    the block's columns of X^m / nx^m, formed for this one product, added onto dF[m]."""
-    for m, (a, x, s) in enumerate(zip(np.add.reduce(UE, axis=2).swapaxes(0, 1), X, nx)):
-        part = a @ (x[..., cols] / s[:, None, cols]).swapaxes(1, 2)
-        dF[m] = part if cols.start == 0 else dF[m] + part
-
-
-def _recovery_blocks(groups, sigma, c, want_dF, buf):
-    """Each group's contrast (``_contrast``) of its anchors W (B, V', d, n) against its pairs' U (B, V', V-1, d, n),
-    in order, their logits in ``buf``: (each group's blocks' row losses, each anchor view's ambient product
-    for dF through its data X and norms nx, with ``want_dF``). With W E given, it is written there."""
-    out, products = [], []
-    for X, nx, W, U, WE in groups:
-        dF = [None] * W.shape[1]
-        each = partial(_ambient, X, nx, dF) if want_dF else None
-        out.append(_contrast(W[:, :, None], U, WE, None, sigma, buf, (c, 1.0), each=each))
-        products += dF
-    return out, products
-
-
 def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=False, beside=None):
     """Recovery losses, with d/dY (B, V, d, n) if ``want_dY`` and d/dF if ``want_dF`` (each else None), followed
     by the items of the tuple that beside() returns, if given.
@@ -521,10 +502,11 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     one batch of ``_contrast``, in d-space: with Xh = X / nx, yh = Y^v / ny, (W, R) = ``maps`` (W = F_m Xh,
     R = F_m F_m^T), nz = ||F_m^T yh|| = sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
     U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r = colsum(U * W E) (0 where nz is
-    floored): dY = (W E - R U r) c / (nz ny) and dF = c U E^T Xh^T - (c r U) U^T F_m, summed over v, its first
-    term a block at a time (``_ambient``). Beside the ROWS x n block, U and W E hold BV(V-1) d n floats each, so
-    memory also grows with V^2 d. At d = 1, yh is exactly +-1 and yh * R yh = R: the loss is bit-constant in P, as
-    the objective is. dF is one (B, d, sum(D_m)) array, view m's in its m-th columns.
+    floored): dY = (W E - R U r) c / (nz ny) and, in closed form after the contrast, dF = dW Xh^T - (c r U) U^T F_m
+    summed over v, where dW = c U E^T is the anchors' gradient that ``_contrast`` writes. Beside the ROWS x n block,
+    U, W E and, with dF, dW hold BV(V-1) d n floats each, so memory also grows with V^2 d. At d = 1, yh is exactly
+    +-1 and yh * R yh = R: the loss is bit-constant in P, as the objective is. dF is one (B, d, sum(D_m)) array,
+    view m's in its m-th columns.
 
     From ``SPLIT_FROM`` logits the blocks run one anchor view at a time; with several threads, runs of consecutive
     views are forked (``_fork``), one per thread: all beside beside(), which runs here, else one of them here. Each
@@ -537,26 +519,28 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     U /= nz[..., None, :]
     c, grad = 1.0 / (n * sigma), want_dY or want_dF
     WE = np.empty(U.shape) if grad else None
-    groups, shape = _groups((B, V, V - 1), n, n, X, nx, W, U, WE)  # shape: each run's buffer, made here
+    dW = np.empty(U.shape) if want_dF else None
+    groups, shape = _groups((B, V, V - 1), n, n, W[:, :, None], U, WE, dW)  # shape: each run's buffer, made here
     if len(groups) == 1 or (threads := _threads()) == 1:
         side = beside() if beside else ()
-        blocks, dF = _recovery_blocks(groups, sigma, c, want_dF, np.empty(shape))
+        blocks = _contrast(groups, sigma, np.empty(shape), (c, 1.0))
     else:
         k = min(V, threads - (beside is not None))
-        runs = [partial(_recovery_blocks, groups[V * i // k:V * (i + 1) // k], sigma, c, want_dF, np.empty(shape))
+        runs = [partial(_contrast, groups[V * i // k:V * (i + 1) // k], sigma, np.empty(shape), (c, 1.0))
                 for i in range(k)]
         side, *done = _fork([beside, *runs]) if beside else ((), *_fork(runs))
         del runs  # and with them their buffers, before dY and dF are formed
-        blocks, dF = ([x for part in parts for x in part] for parts in zip(*done))
+        blocks = [losses for run in done for losses in run]
     total = _summed(blocks, B)
     if not grad:
         return (total / n, None, None) + side
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)
     dY = _to_views((WE - R @ U * r[..., None, :]) * (c / (nz * _pairs(ny)))[..., None, :]) if want_dY else None
-    if want_dF:
+    if want_dF:  # each anchor view's dW summed over its pairs, times its Xh^T
         G = np.add.reduce((U * (c * r)[..., None, :]) @ U.swapaxes(3, 4), axis=2)
-        dF = np.concatenate([g - b @ f for g, b, f in zip(dF, G.swapaxes(0, 1), Fmats)], axis=2)
-    return (total / n, dY, dF if want_dF else None) + side
+        dF = [a @ (x / s[:, None]).swapaxes(1, 2) - b @ f
+              for a, b, x, s, f in zip(np.add.reduce(dW, axis=2).swapaxes(0, 1), G.swapaxes(0, 1), X, nx, Fmats)]
+    return (total / n, dY, np.concatenate(dF, axis=2) if want_dF else None) + side
 
 
 def sample_level_loss(P: ProjectionSet, ds: MultiViewDataset, sigma1: float) -> float:

@@ -195,7 +195,7 @@ def train(ds: MultiViewDataset | tuple[MultiViewDataset, ...], cfg: TrainConfig)
         for m, (x, b) in enumerate(zip(X, blocks)):
             np.matmul(x, dYp[:, m].swapaxes(1, 2), out=dP[:, b])
         p_state, p = adam_step(p_state, dP, p, cfg.adam)
-
+        del Yh, ny, dYp, dF, dP  # the last point's, freed before the next pass forms its own
         loss, Yh, ny, dYp, dF = full_pass(p, f, maps, grad=it < cfg.max_iters)
         check(loss, it)
         keep = []

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -624,6 +625,7 @@ COLLISIONS = {
     "benchmark --out at the labels": ("benchmark", "data/labels.csv", None, "--out"),
     "train --report at --config": ("train", "m.json", "config.json", "--report"),
     "train --out at a link to a view": ("train", "link.csv", None, "--out"),
+    "train --out at a hard link to a view": ("train", "hard.csv", None, "--out"),
 }
 
 
@@ -642,6 +644,7 @@ def test_an_output_that_would_overwrite_an_input_or_output_exits_2_before_any_fi
     (tmp_path / "m.json").write_text("a model written earlier\n")
     (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, "hyper": {"d": 2}}))
     (tmp_path / "link.csv").symlink_to(synth_dir / "view1.csv")
+    os.link(synth_dir / "view1.csv", tmp_path / "hard.csv")
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     if command == "train":
         argv = ["train", "--views", f"{synth_dir}/view1.csv,{synth_dir}/view2.csv", "--config",

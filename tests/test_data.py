@@ -3,6 +3,7 @@ import pytest
 
 from mvcl import (
     EmptyInput,
+    FeatureStats,
     InvalidSpec,
     LabelsRequired,
     MultiViewDataset,
@@ -256,6 +257,11 @@ def test_stats_mismatch():
     other = MultiViewDataset((np.ones((5, 4)), np.ones((2, 4))))
     _, stats = preprocess(other, center=True)
     with pytest.raises(StatsMismatch):
+        preprocess(ds, stats=stats)
+    # one std per view where each view needs one per feature: every feature would be divided by that one value
+    means = tuple(np.zeros(D) for D in ds.dims)
+    stats = FeatureStats(center=True, unit_variance=True, means=means, stds=(np.array([2.0]), np.array([4.0])))
+    with pytest.raises(StatsMismatch, match="stds for view 0"):
         preprocess(ds, stats=stats)
 
 

@@ -62,3 +62,25 @@ def test_guard_flags_a_head_with_a_row_block_loop_of_its_own():
 
 def test_only_the_blocked_contrast_and_the_feature_head_call_xent():
     assert _xent_readers(LOSS.read_text()) == ROW_BLOCK_LOOPS
+
+
+def _group_walkers(source: str) -> set[str]:
+    """The top-level definitions of ``source`` with a loop or comprehension over an expression that reads ``groups``."""
+    return {top.name for top in ast.parse(source).body if hasattr(top, "name")
+            for node in ast.walk(top) if isinstance(node, (ast.For, ast.comprehension))
+            and any(isinstance(read, ast.Name) and read.id == "groups" for read in ast.walk(node.iter))}
+
+
+def test_guard_flags_heads_that_walk_their_own_groups():
+    # the sample head's comprehension over its groups and the recovery head's loop, as before _contrast took them all
+    source = (
+        "def _contrast(A, C, dC, dA):\n    return A\n"
+        "def _sample_head(groups):\n    return [_contrast(*group) for group in groups]\n"
+        "def _recovery_blocks(groups):\n    out = []\n    for X, W, U, WE in groups:\n"
+        "        out.append(_contrast(W, U, WE, None))\n    return out\n"
+    )
+    assert _group_walkers(source) == {"_sample_head", "_recovery_blocks"}
+
+
+def test_only_the_blocked_contrast_walks_a_heads_groups():
+    assert _group_walkers(LOSS.read_text()) == {"_contrast"}

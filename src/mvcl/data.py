@@ -124,12 +124,14 @@ def preprocess(
     else:
         if stats.unit_variance and stats.stds is None:
             raise StatsMismatch("stats request unit variance but carry no stds")
-        for what, vectors in (("means", stats.means), ("stds", stats.stds)):
+        for what, vectors, low in (("means", stats.means, -math.inf), ("stds", stats.stds, 0.0)):
             if vectors is not None and len(vectors) != ds.V:
                 raise StatsMismatch(f"stats' {what} cover {len(vectors)} views, dataset has {ds.V}")
             for m, vec in enumerate(vectors or ()):
                 if vec.shape != (ds.dims[m],):
                     raise StatsMismatch(f"stats' {what} for view {m} have shape {vec.shape}, expected ({ds.dims[m]},)")
+                if not ((low < vec) & (vec < math.inf)).all():
+                    raise StatsMismatch(f"stats' {what} for view {m} must be finite{' and > 0' if low == 0 else ''}")
 
     out = []
     for m, v in enumerate(ds.views):

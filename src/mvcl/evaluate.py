@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import MultiViewDataset, SplitPlan, preprocess, split_indices
 from .errors import BenchmarkError, DimError, EmptyTrain, LabelsRequired, NumericDivergence
-from .loss import ProjectionSet, _batch_limit, _fork, _threads, embeddings
+from .loss import ProjectionSet, _batch_limit, _fork, embeddings
 from .optim import TrainConfig, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -122,7 +122,6 @@ def benchmark(
     for d in sweep:
         if not 1 <= d < min(ds.dims):
             raise DimError(f"swept dimension {d} must lie in [1, {min(ds.dims)})")
-    _threads()  # a bad MVCL_THREADS raises here, before the first fit
 
     def train_split(r: int):
         try:

@@ -15,9 +15,9 @@ similarities:
 All three heads share one softmax cross-entropy, ``_xent``, giving one loss per anchor row and the unnormalised
 gradient from one pass; it alone holds the exponential, the overflow rule (``SHIFT_ABOVE``) and the positives'
 layout. The sample and recovery heads also share one blocked contrast, ``_contrast``, which runs every group of
-their one layout rule, ``_groups`` (rows per block and anchor-view groups), and writes both gradients into arrays:
-the recovery head forms dF from its anchors' gradient in closed form, after the contrast. The feature head, one
-Gram block, keeps its own.
+their one layout rule, ``_groups`` (rows per block and anchor-view groups), and writes the row losses and both
+gradients into arrays: the recovery head forms dF from its anchors' gradient in closed form, after the contrast.
+The feature head, one Gram block, keeps its own.
 
 The heads run B fits at once, fits of one n, D_m, d and set of hyperparameters: every array carries a leading
 fit axis, then a view axis. Y, its unit columns Yh (``_unit_columns``) and the recovery anchors
@@ -31,7 +31,8 @@ threads, beside the sample head (``_recovery_head``), through ``_fork``, the one
 ``evaluate.benchmark`` also uses for its batches. A batch holds at most ``_batch_limit`` fits, so that each fit
 runs in one row block, as it does alone, and gets its result alone. Every expectation is an arithmetic mean over
 the anchor index and a plain sum over view pairs, so loss magnitudes do not grow with n. Accumulation is float64
-with a fixed left-to-right ordering for reproducibility.
+in a fixed order: each head writes one loss per anchor row into one array L, shaped like its anchors' batch axes,
+and a fit's loss is one sum of its row losses in row order (``_summed``), whatever the blocks, groups or threads.
 """
 
 from __future__ import annotations
@@ -324,8 +325,8 @@ def _xent(S: np.ndarray, sigma: float, k: int, grad: bool, r0: int = 0):
 def _groups(lead: tuple, n: int, kn: int, *arrays) -> tuple[list, tuple]:
     """A blocked head's layout, for anchors of n rows against kn candidates in every batch entry of ``lead`` (B, V,
     ...): (groups of ``arrays``, one group's logit block shape). ``ROWS`` anchor rows are shared over the entries. An
-    all-view block of ``SPLIT_FROM`` logits or more makes one group per anchor view a: arrays (B, V, ...) sliced to
-    [:, a:a+1], None kept. Else the one group is ``arrays`` whole."""
+    all-view block of ``SPLIT_FROM`` logits or more makes one group per anchor view a: arrays (B, V, ...), the row
+    losses and gradients among them, sliced to [:, a:a+1], None kept. Else the one group is ``arrays`` whole."""
     entries = math.prod(lead)
     rows = min(n, max(1, ROWS // entries))
     if entries * rows * kn < SPLIT_FROM:
@@ -342,24 +343,22 @@ def _view_logits(A, C, sigma, out):
 
 
 def _contrast(groups, sigma, buf, scales, fill=None):
-    """Each group's row losses (``_xent``), a list of its blocks', for the groups (A, C, dC, dA) of ``_groups``: the
-    anchors A (..., d, n) against the candidates C (..., d, kn) over their broadcast batch axes, anchor i's positives
-    being C's columns b n + i for b < k = kn / n. The one row-block loop of the sample and recovery heads. A block of
-    ``buf``'s rows (axis -2) of every batch entry holds its logits (A / sigma)^T C, or fill(rows of A, C, sigma,
-    block), in ``buf``. With a dC and (s_A, s_C) = ``scales``, the candidates' gradient s_C (A / rs) E is written to
-    dC, summed one batch entry at a time after the first block so that no second dC-sized array is alive, and with a
-    dA the anchors' gradient s_A C E^T / rs, by rows, to dA."""
-    out = []
-    for A, C, dC, dA in groups:
+    """Run the groups (A, C, L, dC, dA) of ``_groups``: the anchors A (..., d, n) against the candidates C (..., d,
+    kn) over their broadcast batch axes, anchor i's positives being C's columns b n + i for b < k = kn / n. The one
+    row-block loop of the sample and recovery heads. A block of ``buf``'s rows (axis -2) of every batch entry holds
+    its logits (A / sigma)^T C, or fill(rows of A, C, sigma, block), in ``buf``, and writes its row losses
+    (``_xent``) to L (..., n) by rows. With a dC and (s_A, s_C) = ``scales``, the candidates' gradient s_C (A / rs) E
+    is written to dC, summed one batch entry at a time after the first block so that no second dC-sized array is
+    alive, and with a dA the anchors' gradient s_A C E^T / rs, by rows, to dA."""
+    for A, C, L, dC, dA in groups:
         n = A.shape[-1]
-        k, rows, losses = C.shape[-1] // n, buf.shape[-2], []
+        k, rows = C.shape[-1] // n, buf.shape[-2]
         for r0 in range(0, n, rows):
             cols = slice(r0, r0 + rows)
             a, m = A[..., cols], min(rows, n - r0)
             S = buf if m == rows else buf.reshape(-1)[:buf.size // rows * m].reshape(*buf.shape[:-2], m, -1)
             S = fill(a, C, sigma, S) if fill else np.matmul((a / sigma).swapaxes(-1, -2), C, out=S)
-            block, E, inv = _xent(S, sigma, k, dC is not None, r0)
-            losses.append(block)
+            L[..., cols], E, inv = _xent(S, sigma, k, dC is not None, r0)
             if dC is None:
                 continue
             inv = inv[..., None, :]
@@ -373,19 +372,12 @@ def _contrast(groups, sigma, buf, scales, fill=None):
             if dA is not None:
                 block = np.matmul(C, E.swapaxes(-1, -2), out=dA[..., cols])
                 block *= scaled if scales[0] == scales[1] else scales[0] * inv
-        out.append(losses)
-    return out
 
 
-def _summed(blocks: list[list[np.ndarray]], B: int) -> np.ndarray:
-    """Each fit's loss (B,) from the row losses of every group's blocks (``_xent``), a list per group. A block's
-    groups are joined along the view axis first, so each fit's sum runs in the order of the whole block's."""
-    total = None
-    for parts in zip(*blocks):
-        losses = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        loss = np.add.reduce(losses.reshape(B, -1), axis=1)
-        total = loss if total is None else total + loss  # not 0.0 + loss: a pass fewer, the same bits
-    return total
+def _summed(L: np.ndarray) -> np.ndarray:
+    """Each fit's loss (B,): the sum of its row losses L (B, ...), one per anchor row (``_xent``), in row order, so
+    that it does not depend on the blocks, groups or threads that wrote them."""
+    return np.add.reduce(L.reshape(len(L), -1), axis=1)
 
 
 def _col_norms(A: np.ndarray) -> np.ndarray:
@@ -435,22 +427,20 @@ def _point(P: ProjectionSet, F: RecoverySet, ds: MultiViewDataset):
 def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = False):
     """Sample-level losses at the unit embeddings Yh (B, V, d, n), norms ny (B, V, n), and d/dY with ``grad`` or None.
 
-    Anchor view a contrasts its samples against the other views placed side
-    by side: sample i in every other view is a positive, all other samples
-    there are negatives, and same-view pairs never enter. The B fits' V anchor views
-    are one batch of ``_contrast``, laid out by ``_groups`` (ROWS // (BV) rows of every
-    anchor view a block, or one anchor view's), filled on the calling thread by one 2-D
-    ``cosine_logits`` call per fit and anchor view; both gradients carry 1/(n sigma). The
-    candidates' gradients are scattered back onto their views, and each view's gradient
-    is pulled back through its norm once.
+    Anchor view a contrasts its samples against the other views placed side by side: sample i in every other view
+    is a positive, all other samples there are negatives, and same-view pairs never enter. The B fits' V anchor
+    views are one batch of ``_contrast``, laid out by ``_groups`` (ROWS // (BV) rows of every anchor view a block,
+    or one anchor view's), filled on the calling thread by one 2-D ``cosine_logits`` call per fit and anchor view;
+    both gradients carry 1/(n sigma), and the row losses L (B, V, n) are summed once (``_summed``). The candidates'
+    gradients are scattered back onto their views, and each view's gradient is pulled back through its norm once.
     """
     B, V, d, n = Yh.shape
     C = _pairs(Yh).swapaxes(2, 3).reshape(B, V, d, (V - 1) * n)
-    scale = 1.0 / (n * sigma)
+    scale, L = 1.0 / (n * sigma), np.empty((B, V, n))
     dY, dC = (np.empty(Yh.shape), np.empty(C.shape)) if grad else (None, None)
-    groups, shape = _groups((B, V), n, C.shape[3], Yh, C, dC, dY)
-    buf = np.empty(shape)  # one group's block, for each group in turn
-    total = _summed(_contrast(groups, sigma, buf, (scale, scale), _view_logits), B)
+    groups, shape = _groups((B, V), n, C.shape[3], Yh, C, L, dC, dY)
+    _contrast(groups, sigma, np.empty(shape), (scale, scale), _view_logits)  # one group's block, for each in turn
+    total = _summed(L)
     if not grad:
         return total / n, None
     dY += _to_views(dC.reshape(B, V, d, V - 1, n).swapaxes(2, 3))
@@ -460,29 +450,27 @@ def _sample_head(Yh: np.ndarray, ny: np.ndarray, sigma: float, grad: bool = Fals
 def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bool = False):
     """Feature-level losses of the embeddings Y (B, V, d, n), and d/dY with ``grad`` (else None).
 
-    The contrasted vectors are the rows of Y: row k of view m against all d
-    rows of view v, with the same row index as the positive. The V*d rows, as
-    unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma per fit,
-    ROWS // (BV) anchor rows (m, k) at a time: one GEMM per fit, then moved to (B, V, c, d),
-    one batch entry per candidate view v, for ``_xent``, whose positive (r0 + i) % d is
-    the diagonal of each (m, v) block. Without ``include_self_view`` each row's
-    m = v entry is -inf off its positive, so its loss and gradient are exactly 0.
-    dQh = Qh (dG + dG^T) / sigma.
+    The contrasted vectors are the rows of Y: row k of view m against all d rows of view v, with the same row index
+    as the positive. The V*d rows, as unit columns Qh of [Y^1; ...; Y^V]^T, form one Gram block G = Qh^T Qh / sigma
+    per fit, ROWS // (BV) anchor rows (m, k) at a time: one GEMM per fit, then moved to (B, V, c, d), one batch
+    entry per candidate view v, for ``_xent``, whose positive (r0 + i) % d is the diagonal of each (m, v) block. The
+    row losses go to L (B, V, V d), entry [., v, (m, k)], summed once (``_summed``). Without ``include_self_view``
+    each row's m = v entry is -inf off its positive, so its loss and gradient are exactly 0. dQh = Qh (dG + dG^T)
+    / sigma.
     """
     B, V, d, n = Y.shape
     Q = Y.reshape(B, V * d, n).swapaxes(1, 2)
     Qh, nq = _unit_columns(Q)
     Qs = Qh / sigma
     c = max(1, ROWS // (B * V))
-    blocks, dQ = [], np.zeros(Q.shape) if grad else None
+    L, dQ = np.empty((B, V, V * d)), np.zeros(Q.shape) if grad else None
     for r0 in range(0, V * d, c):
         rows = slice(r0, r0 + c)
         S = np.ascontiguousarray((Qh[..., rows].swapaxes(1, 2) @ Qs).reshape(B, -1, V, d).swapaxes(1, 2))
         if not include_self_view:
             (own, k), i = divmod(np.arange(r0, r0 + S.shape[2]), d), np.arange(S.shape[2])
             S[:, own, i] = np.where(np.arange(d) == k[:, None], S[:, own, i], -np.inf)
-        losses, E, inv = _xent(S, sigma, 1, grad, r0)
-        blocks.append(losses)
+        L[..., rows], E, inv = _xent(S, sigma, 1, grad, r0)
         if grad:
             E *= inv[..., None]
             E = E.swapaxes(1, 2).reshape(B, -1, V * d)  # dG, back in the Gram block's layout
@@ -490,7 +478,7 @@ def _feature_head(Y: np.ndarray, sigma: float, include_self_view: bool, grad: bo
             dQ += Qh[..., rows] @ E
         del S, E  # so that the next block is formed after this one is freed
     dY = _through_norm(dQ, Qh, nq, 1.0 / (d * sigma)).swapaxes(1, 2).reshape(B, V, d, n) if grad else None
-    return _summed([blocks], B) / d, dY
+    return _summed(L) / d, dY
 
 
 def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=False, beside=None):
@@ -503,7 +491,8 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     R = F_m F_m^T), nz = ||F_m^T yh|| = sqrt(colsum(yh * R yh)) (floored, also where rounding takes it below 0),
     U = yh / nz, S = W^T U / sigma, c = 1/(n sigma), E = n dloss/dS and r = colsum(U * W E) (0 where nz is
     floored): dY = (W E - R U r) c / (nz ny) and, in closed form after the contrast, dF = dW Xh^T - (c r U) U^T F_m
-    summed over v, where dW = c U E^T is the anchors' gradient that ``_contrast`` writes. Beside the ROWS x n block,
+    summed over v, where dW = c U E^T is the anchors' gradient that ``_contrast`` writes, as it writes the row
+    losses L (B, V, V-1, n), summed once (``_summed``) whatever the blocks and threads. Beside the ROWS x n block,
     U, W E and, with dF, dW hold BV(V-1) d n floats each, so memory also grows with V^2 d. At d = 1, yh is exactly
     +-1 and yh * R yh = R: the loss is bit-constant in P, as the objective is. dF is one (B, d, sum(D_m)) array,
     view m's in its m-th columns.
@@ -517,21 +506,20 @@ def _recovery_head(X, nx, maps, Fmats, Yh, ny, sigma, want_dY=False, want_dF=Fal
     U = _pairs(Yh)
     nz = np.maximum(np.sqrt(np.maximum(np.add.reduce(U * (R @ U), axis=3), 0.0)), NORM_FLOOR)
     U /= nz[..., None, :]
-    c, grad = 1.0 / (n * sigma), want_dY or want_dF
+    c, grad, L = 1.0 / (n * sigma), want_dY or want_dF, np.empty((B, V, V - 1, n))
     WE = np.empty(U.shape) if grad else None
     dW = np.empty(U.shape) if want_dF else None
-    groups, shape = _groups((B, V, V - 1), n, n, W[:, :, None], U, WE, dW)  # shape: each run's buffer, made here
+    groups, shape = _groups((B, V, V - 1), n, n, W[:, :, None], U, L, WE, dW)  # shape: each run's buffer, made here
     if len(groups) == 1 or (threads := _threads()) == 1:
         side = beside() if beside else ()
-        blocks = _contrast(groups, sigma, np.empty(shape), (c, 1.0))
+        _contrast(groups, sigma, np.empty(shape), (c, 1.0))
     else:
         k = min(V, threads - (beside is not None))
         runs = [partial(_contrast, groups[V * i // k:V * (i + 1) // k], sigma, np.empty(shape), (c, 1.0))
                 for i in range(k)]
-        side, *done = _fork([beside, *runs]) if beside else ((), *_fork(runs))
+        side, *_ = _fork([beside, *runs]) if beside else ((), *_fork(runs))
         del runs  # and with them their buffers, before dY and dF are formed
-        blocks = [losses for run in done for losses in run]
-    total = _summed(blocks, B)
+    total = _summed(L)
     if not grad:
         return (total / n, None, None) + side
     r = np.add.reduce(U * WE, axis=3) * (nz > NORM_FLOOR)

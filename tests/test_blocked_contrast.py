@@ -129,3 +129,27 @@ def test_blocked_heads_agree_with_one_block_and_with_the_dense_reference(seed, B
             if head.startswith("recovery"):
                 scale[1] = np.where(floored[b], np.inf, scale[1])
             _assert_close(got, want, scale, f"{head} of fit {b} against the dense reference")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), B=st.integers(1, 3), V=st.integers(2, 4), n=st.integers(1, 7),
+       sigma=st.sampled_from(SIGMAS), zero=st.booleans(), own=st.booleans(), threads=st.integers(1, 3))
+def test_at_d_1_every_head_sums_the_same_row_losses_whatever_the_blocks(seed, B, V, n, sigma, zero, own, threads):
+    # At d = 1 every logit is one product, so each row's loss does not depend on its block: a fit's loss, one sum of
+    # its row losses in row order, has the bits of one block in blocks of 1-8 rows, also one anchor view at a time
+    # on 1-3 threads.
+    X, Fmats, Y = _inputs(seed, B, V, n, 1, zero)
+
+    def losses():
+        return {head: outs[0].tobytes() for head, outs in _heads(X, Fmats, Y, sigma, own).items()}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("mvcl.loss.ROWS", ONE_BLOCK)
+        whole = losses()
+        mp.setenv("MVCL_THREADS", str(threads))
+        for rows in range(1, 9):
+            mp.setattr("mvcl.loss.ROWS", rows)
+            assert losses() == whole, f"blocks of {rows} rows"
+            with pytest.MonkeyPatch.context() as split:
+                split.setattr("mvcl.loss.SPLIT_FROM", 0)
+                assert losses() == whole, f"blocks of {rows} rows, one anchor view at a time on {threads} threads"

@@ -263,6 +263,16 @@ def test_stats_mismatch():
     stats = FeatureStats(center=True, unit_variance=True, means=means, stds=(np.array([2.0]), np.array([4.0])))
     with pytest.raises(StatsMismatch, match="stds for view 0"):
         preprocess(ds, stats=stats)
+    # a negative std flips its feature's sign, a zero one divides by zero: stds must be finite and > 0, as in a
+    # model file, and means finite
+    for bad in ([1.0, -1.0], [1.0, 0.0], [1.0, np.inf], [1.0, np.nan]):
+        stats = FeatureStats(center=True, unit_variance=True, means=means, stds=(np.ones(3), np.array(bad)))
+        with pytest.raises(StatsMismatch, match="stds for view 1 must be finite and > 0"):
+            preprocess(ds, stats=stats)
+    for bad in ([0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0]):
+        stats = FeatureStats(center=True, unit_variance=False, means=(np.array(bad), means[1]), stds=None)
+        with pytest.raises(StatsMismatch, match="means for view 0 must be finite$"):
+            preprocess(ds, stats=stats)
 
 
 # ---------------------------------------------------------------------------
